@@ -255,13 +255,13 @@ impl ShardCell {
     }
 }
 
-/// Measures the sharded replay loop against the serial one on prebuilt
+/// Measures sharded replay against one-engine `run_trace` on prebuilt
 /// large-scale traces (the pipeline front half is deliberately excluded:
 /// sharding only changes the replay loop). Informational — the `--check`
-/// gate never re-measures this section; the speedup here documents the
-/// scan-free per-shard replay win, which holds even on a single host core
-/// (serial replay re-scans all `P` processor clocks per event, a sharded
-/// sync-free epoch replays each processor's run flat).
+/// gate never re-measures this section. Both paths replay a sync-free
+/// epoch of these shard-safe schemes flat, so the ratio isolates what the
+/// sharded driver itself adds: thread parallelism on a multi-core host,
+/// replica and merge overhead on a single core.
 fn measure_sharding(reps: usize) -> Vec<ShardCell> {
     let mut out = Vec::new();
     for procs in [64_u32, 256] {
