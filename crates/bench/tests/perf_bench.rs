@@ -95,10 +95,11 @@ fn bench_baseline_matches_golden_schema() {
         assert!(v.is_finite() && v > 0.0);
     }
 
-    // The sharding section documents the serial-vs-sharded replay win on
-    // prebuilt large-scale traces (informational for the gate, but its
-    // shape — and the committed >= 2x section speedup — is part of the
-    // schema contract).
+    // The sharding section compares one-engine and sharded replay on
+    // prebuilt large-scale traces. It is informational for the gate, but
+    // its shape is part of the schema contract. Both paths replay
+    // sync-free epochs flat, so which one is faster depends on the host's
+    // cores; only the section's internal consistency is pinned.
     let sharding = doc.get("sharding").expect("sharding");
     assert!(
         sharding
@@ -119,14 +120,13 @@ fn bench_baseline_matches_golden_schema() {
         }
         assert!(c.get("procs").and_then(Json::as_u64).expect("procs") >= 64);
     }
-    let speedup = sharding
-        .get("totals")
-        .and_then(|t| t.get("speedup"))
-        .and_then(Json::as_f64)
-        .expect("sharding.totals.speedup");
+    let totals = sharding.get("totals").expect("sharding.totals");
+    let total = |key| totals.get(key).and_then(Json::as_f64).expect(key);
+    let speedup = total("speedup");
+    let ratio = total("serial_median_wall_ms") / total("sharded_median_wall_ms");
     assert!(
-        speedup >= 2.0,
-        "committed sharding section speedup {speedup} < 2x"
+        speedup.is_finite() && (speedup - ratio).abs() < 1e-3,
+        "sharding.totals.speedup {speedup} is not serial/sharded ({ratio})"
     );
 
     // Stage/counter attribution rides along for cross-machine triage.
