@@ -23,13 +23,14 @@
 //! generator's retry jitter both derive from the one `--seed`.
 
 use crate::fault::{FaultPlan, FaultSite};
+use crate::http;
 use crate::json::Json;
 use crate::loadgen::{self, LoadgenConfig, LoadgenReport, RetryPolicy};
 use crate::pool::{CellError, CellStore};
 use crate::server::{ServeConfig, ServeStats, Server};
 use crate::wire::{render_cell, render_cell_error, CellKey};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use tpi::Runner;
@@ -177,7 +178,7 @@ fn garbage_payloads() -> Vec<&'static [u8]> {
 /// 4xx status line, or a clean close/timeout. Either is acceptable; the
 /// point is the *server* must survive it.
 fn probe_garbage(addr: SocketAddr, payload: &[u8]) -> Result<(), String> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
+    let stream = http::connect(addr, Duration::from_secs(5))
         .map_err(|e| format!("probe connect failed: {e}"))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let mut out = &stream;

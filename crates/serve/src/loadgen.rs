@@ -22,7 +22,7 @@
 //! attempts died on the socket versus backpressure.
 
 use crate::fault::splitmix64;
-use crate::http::{read_response, Response};
+use crate::http::{self, read_response, write_request, Response};
 use crate::json::{parse, Json};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -307,13 +307,7 @@ pub fn request_on(
     body: &str,
 ) -> io::Result<Response> {
     let mut out = stream;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: tpi-serve\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    io::Write::write_all(&mut out, head.as_bytes())?;
-    io::Write::write_all(&mut out, body.as_bytes())?;
-    io::Write::flush(&mut out)?;
+    write_request(&mut out, method, path, body.as_bytes())?;
     read_response(reader)
 }
 
@@ -324,9 +318,7 @@ pub fn request_on(
 ///
 /// Propagates socket failures.
 pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
+    let stream = http::connect(addr, timeout)?;
     let mut reader = BufReader::new(&stream);
     request_on(&stream, &mut reader, "GET", path, "")
 }
@@ -337,9 +329,7 @@ pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> io::Result<Respon
 ///
 /// Propagates socket failures.
 pub fn post(addr: SocketAddr, path: &str, body: &str, timeout: Duration) -> io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
+    let stream = http::connect(addr, timeout)?;
     let mut reader = BufReader::new(&stream);
     request_on(&stream, &mut reader, "POST", path, body)
 }
@@ -382,16 +372,9 @@ fn retry_after(response: &Response) -> Option<Duration> {
         .map(Duration::from_secs)
 }
 
-fn connect(config: &LoadgenConfig) -> io::Result<TcpStream> {
-    let stream = TcpStream::connect_timeout(&config.addr, config.timeout)?;
-    stream.set_read_timeout(Some(config.timeout))?;
-    stream.set_write_timeout(Some(config.timeout))?;
-    Ok(stream)
-}
-
 fn drive_connection(config: &LoadgenConfig, conn_index: usize, mix: &[&str]) -> Tally {
     let mut tally = Tally::default();
-    let mut conn = connect(config).ok();
+    let mut conn = http::connect(config.addr, config.timeout).ok();
     for i in 0..config.requests_per_connection {
         let body = mix[(conn_index + i) % mix.len()];
         let started = Instant::now();
@@ -436,7 +419,7 @@ fn drive_connection(config: &LoadgenConfig, conn_index: usize, mix: &[&str]) -> 
             }
             std::thread::sleep(config.retry.backoff(conn_index, i, attempt, suggested));
             if conn.is_none() {
-                conn = connect(config).ok();
+                conn = http::connect(config.addr, config.timeout).ok();
             }
         };
         // A `connection: close` response (shutdown, some 4xx paths)
@@ -470,7 +453,7 @@ fn drive_connection(config: &LoadgenConfig, conn_index: usize, mix: &[&str]) -> 
         // The server closes the connection after non-keep-alive
         // responses (e.g. during shutdown); reconnect lazily.
         if conn.is_none() {
-            conn = connect(config).ok();
+            conn = http::connect(config.addr, config.timeout).ok();
         }
     }
     tally

@@ -94,37 +94,34 @@ pub type CellOutcome = Result<CellValue, CellError>;
 
 use tpi::ExperimentResult;
 
-/// A slot that one leader fills and any number of waiters block on.
+/// A slot that one leader fills and any number of waiters block on: the
+/// single-flight value of both the server's cell store and the router.
 #[derive(Debug)]
-pub struct FlightSlot {
-    state: Mutex<Option<Arc<CellOutcome>>>,
+pub struct FlightSlot<T = Arc<CellOutcome>> {
+    state: Mutex<Option<T>>,
     cond: Condvar,
 }
 
-impl FlightSlot {
-    fn new() -> Arc<FlightSlot> {
+impl<T: Clone> FlightSlot<T> {
+    pub(crate) fn new() -> Arc<FlightSlot<T>> {
         Arc::new(FlightSlot {
             state: Mutex::new(None),
             cond: Condvar::new(),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, Option<Arc<CellOutcome>>> {
-        lock_unpoisoned(&self.state)
-    }
-
-    fn complete(&self, outcome: Arc<CellOutcome>) {
-        *self.lock() = Some(outcome);
+    pub(crate) fn complete(&self, value: T) {
+        *lock_unpoisoned(&self.state) = Some(value);
         self.cond.notify_all();
     }
 
     /// Blocks until the slot is filled or `deadline` passes.
     #[must_use]
-    pub fn wait_until(&self, deadline: Instant) -> Option<Arc<CellOutcome>> {
-        let mut state = self.lock();
+    pub fn wait_until(&self, deadline: Instant) -> Option<T> {
+        let mut state = lock_unpoisoned(&self.state);
         loop {
-            if let Some(outcome) = state.as_ref() {
-                return Some(Arc::clone(outcome));
+            if let Some(value) = state.as_ref() {
+                return Some(value.clone());
             }
             let now = Instant::now();
             if now >= deadline {
@@ -799,7 +796,7 @@ mod tests {
 
     #[test]
     fn wait_until_respects_the_deadline() {
-        let slot = FlightSlot::new();
+        let slot: Arc<FlightSlot> = FlightSlot::new();
         let t0 = Instant::now();
         assert!(slot
             .wait_until(Instant::now() + Duration::from_millis(30))

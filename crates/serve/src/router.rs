@@ -43,14 +43,14 @@
 
 use crate::disk::fnv1a;
 use crate::fault::splitmix64;
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::http::{Handler, Reply, Request, Serving};
 use crate::json::{parse, Json};
 use crate::loadgen::{self, RetryPolicy};
+use crate::pool::FlightSlot;
 use crate::wire::{error_body, kernels_body, schemes_body, CellKey, GridRequest};
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpi::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
@@ -171,45 +171,6 @@ enum CellReply {
     AllDraining,
 }
 
-/// A slot one leader fills and any number of waiters block on — the
-/// router-global single-flight table's value type.
-struct CellSlot {
-    state: Mutex<Option<CellReply>>,
-    cond: Condvar,
-}
-
-impl CellSlot {
-    fn new() -> Arc<CellSlot> {
-        Arc::new(CellSlot {
-            state: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, reply: CellReply) {
-        *lock_unpoisoned(&self.state) = Some(reply);
-        self.cond.notify_all();
-    }
-
-    fn wait_until(&self, deadline: Instant) -> Option<CellReply> {
-        let mut state = lock_unpoisoned(&self.state);
-        loop {
-            if let Some(reply) = state.as_ref() {
-                return Some(reply.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = wait_timeout_unpoisoned(&self.cond, state, deadline - now);
-            state = next;
-            if timeout.timed_out() && state.is_none() {
-                return None;
-            }
-        }
-    }
-}
-
 /// Fixed-shape router counters, rendered on `GET /metrics`.
 #[derive(Default)]
 struct RouterMetrics {
@@ -233,11 +194,10 @@ struct RouterShared {
     /// `(point, replica index)` sorted by point; membership is static so
     /// the ring is built once.
     ring: Vec<(u64, usize)>,
-    inflight: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
+    inflight: Mutex<HashMap<CellKey, Arc<FlightSlot<CellReply>>>>,
     metrics: RouterMetrics,
     shutdown: AtomicBool,
     shutdown_signal: (Mutex<bool>, Condvar),
-    active_conns: AtomicUsize,
     started: Instant,
 }
 
@@ -251,11 +211,7 @@ impl RouterShared {
         let _ = TcpStream::connect(self.addr);
     }
 
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<CellSlot>>> {
+    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<FlightSlot<CellReply>>>> {
         lock_unpoisoned(&self.inflight)
     }
 
@@ -286,10 +242,24 @@ impl RouterShared {
     }
 }
 
+impl Handler for RouterShared {
+    fn max_body(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    fn handle(&self, request: &Request) -> Reply {
+        route(self, request)
+    }
+}
+
 /// A running router instance.
 pub struct Router {
     shared: Arc<RouterShared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
+    serving: Serving,
     prober_handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -338,7 +308,6 @@ impl Router {
             metrics: RouterMetrics::default(),
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
             started: now,
         });
         let prober_shared = Arc::clone(&shared);
@@ -346,14 +315,10 @@ impl Router {
             .name("tpi-router-prober".to_owned())
             .spawn(move || prober_loop(&prober_shared))
             .expect("spawn prober");
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("tpi-router-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
+        let serving = Serving::start(listener, Arc::clone(&shared), "tpi-router");
         Ok(Router {
             shared,
-            accept_handle: Some(accept_handle),
+            serving,
             prober_handle: Some(prober_handle),
         })
     }
@@ -394,18 +359,11 @@ impl Router {
     /// does not own it.
     pub fn shutdown(mut self) -> RouterStats {
         self.shared.request_shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        self.serving.stop_accepting();
         if let Some(handle) = self.prober_handle.take() {
             let _ = handle.join();
         }
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::Acquire) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.serving.drain(Duration::from_secs(10));
         let m = &self.shared.metrics;
         RouterStats {
             experiment_requests: m.experiment_requests.load(Ordering::Relaxed),
@@ -453,129 +411,11 @@ fn prober_loop(shared: &Arc<RouterShared>) {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                shared.active_conns.fetch_add(1, Ordering::AcqRel);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("tpi-router-conn".to_owned())
-                    .spawn(move || {
-                        connection_loop(&stream, &conn_shared);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-        }
-    }
+fn retryable_503(body: String) -> Reply {
+    Reply::json(503, body).header("retry-after", "1")
 }
 
-/// How long a connection blocks in `read` before re-checking the
-/// shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-fn connection_loop(stream: &TcpStream, shared: &Arc<RouterShared>) {
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Idle) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(HttpError::Closed | HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(message)) => {
-                let body = error_body("bad_request", &message);
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::BodyTooLarge(n)) => {
-                let body = error_body("body_too_large", &format!("{n} bytes exceeds the limit"));
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-        };
-        let response = route(shared, &request);
-        let keep_alive = request.keep_alive && !shared.shutting_down();
-        let headers: Vec<(&str, String)> = response
-            .extra_headers
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        let mut out = stream;
-        if write_response(
-            &mut out,
-            response.status,
-            response.content_type,
-            response.body.as_bytes(),
-            &headers,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
-        }
-    }
-}
-
-struct RouteResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl RouteResponse {
-    fn json(status: u16, body: String) -> RouteResponse {
-        RouteResponse {
-            status,
-            content_type: "application/json",
-            body,
-            extra_headers: Vec::new(),
-        }
-    }
-
-    fn retryable_503(body: String) -> RouteResponse {
-        let mut response = RouteResponse::json(503, body);
-        response.extra_headers.push(("retry-after", "1".to_owned()));
-        response
-    }
-}
-
-fn route(shared: &Arc<RouterShared>, request: &Request) -> RouteResponse {
+fn route(shared: &RouterShared, request: &Request) -> Reply {
     let path = request
         .target
         .split('?')
@@ -584,7 +424,7 @@ fn route(shared: &Arc<RouterShared>, request: &Request) -> RouteResponse {
     match (request.method.as_str(), path) {
         ("POST", "/v1/experiments") => {
             if shared.shutting_down() {
-                return RouteResponse::json(
+                return Reply::json(
                     503,
                     error_body("shutting_down", "the router is shutting down"),
                 );
@@ -594,32 +434,32 @@ fn route(shared: &Arc<RouterShared>, request: &Request) -> RouteResponse {
         // Discovery is served locally: the router links the same kernel
         // and scheme tables as every replica, so the bytes are identical
         // and the endpoints stay up even with the whole fleet draining.
-        ("GET", "/v1/kernels") => RouteResponse::json(200, kernels_body()),
-        ("GET", "/v1/schemes") => RouteResponse::json(200, schemes_body()),
+        ("GET", "/v1/kernels") => Reply::json(200, kernels_body()),
+        ("GET", "/v1/schemes") => Reply::json(200, schemes_body()),
         ("GET", "/healthz") => handle_healthz(shared),
-        ("GET", "/metrics") => RouteResponse {
+        ("GET", "/metrics") => Reply {
             status: 200,
             content_type: "text/plain; version=0.0.4",
             body: render_metrics(shared),
-            extra_headers: Vec::new(),
+            headers: Vec::new(),
         },
         ("POST", "/admin/shutdown") => {
             shared.request_shutdown();
-            RouteResponse::json(200, "{\"status\":\"shutting down\"}".to_owned())
+            Reply::json(200, "{\"status\":\"shutting down\"}".to_owned())
         }
         (
             _,
             "/v1/experiments" | "/v1/kernels" | "/v1/schemes" | "/healthz" | "/metrics"
             | "/admin/shutdown",
-        ) => RouteResponse::json(405, error_body("method_not_allowed", "wrong method")),
-        _ => RouteResponse::json(
+        ) => Reply::json(405, error_body("method_not_allowed", "wrong method")),
+        _ => Reply::json(
             404,
             error_body("not_found", &format!("no route for {path}")),
         ),
     }
 }
 
-fn handle_healthz(shared: &Arc<RouterShared>) -> RouteResponse {
+fn handle_healthz(shared: &RouterShared) -> Reply {
     let replicas: Vec<Json> = shared
         .replicas
         .iter()
@@ -645,10 +485,10 @@ fn handle_healthz(shared: &Arc<RouterShared>) -> RouteResponse {
         ("inflight_cells", Json::from(shared.inflight().len())),
     ])
     .render();
-    RouteResponse::json(200, body)
+    Reply::json(200, body)
 }
 
-fn render_metrics(shared: &Arc<RouterShared>) -> String {
+fn render_metrics(shared: &RouterShared) -> String {
     let m = &shared.metrics;
     let mut out = String::with_capacity(2048);
     let counters: [(&str, &str, u64); 11] = [
@@ -733,14 +573,14 @@ fn render_metrics(shared: &Arc<RouterShared>) -> String {
     out
 }
 
-fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse {
+fn handle_experiments(shared: &RouterShared, body: &[u8]) -> Reply {
     shared
         .metrics
         .experiment_requests
         .fetch_add(1, Ordering::Relaxed);
     let bad = |code: &'static str, message: String| {
         shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        RouteResponse::json(400, error_body(code, &message))
+        Reply::json(400, error_body(code, &message))
     };
     let Ok(text) = std::str::from_utf8(body) else {
         return bad("bad_json", "body is not UTF-8".to_owned());
@@ -753,7 +593,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
         Ok(grid) => grid,
         Err(e) => {
             shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return RouteResponse::json(400, e.body());
+            return Reply::json(400, e.body());
         }
     };
     let cells = grid.cells();
@@ -775,10 +615,10 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
         match reply {
             Some(CellReply::Cell(json)) => rendered.push(json),
             Some(CellReply::Relay { status, body }) => {
-                return RouteResponse::json(status, body);
+                return Reply::json(status, body);
             }
             Some(CellReply::Unavailable) => {
-                return RouteResponse::retryable_503(error_body(
+                return retryable_503(error_body(
                     "upstream_unavailable",
                     "every forward attempt for a cell failed; retry after the suggested delay",
                 ));
@@ -788,7 +628,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
                     .metrics
                     .rejected_draining
                     .fetch_add(1, Ordering::Relaxed);
-                return RouteResponse::retryable_503(error_body(
+                return retryable_503(error_body(
                     "all_replicas_draining",
                     "no replica holds a health lease; retry after the suggested delay",
                 ));
@@ -798,7 +638,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
                     .metrics
                     .rejected_timeout
                     .fetch_add(1, Ordering::Relaxed);
-                return RouteResponse::json(
+                return Reply::json(
                     504,
                     error_body(
                         "timeout",
@@ -810,13 +650,13 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
     }
     let count = rendered.len();
     let body = Json::obj([("cells", Json::Arr(rendered)), ("count", Json::from(count))]).render();
-    RouteResponse::json(200, body)
+    Reply::json(200, body)
 }
 
 /// Resolves one cell through the global single-flight table: join an
 /// identical in-flight forward, or lead one. `None` means the deadline
 /// passed first.
-fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> Option<CellReply> {
+fn resolve_cell(shared: &RouterShared, key: CellKey, deadline: Instant) -> Option<CellReply> {
     let slot = {
         let mut inflight = shared.inflight();
         if let Some(slot) = inflight.get(&key) {
@@ -825,7 +665,7 @@ fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> 
             drop(inflight);
             return slot.wait_until(deadline);
         }
-        let slot = CellSlot::new();
+        let slot = FlightSlot::new();
         inflight.insert(key, Arc::clone(&slot));
         slot
     };
@@ -847,7 +687,7 @@ fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> 
 /// one attempt each with a per-attempt deadline, jittered backoff
 /// between attempts, until an attempt succeeds, a terminal upstream
 /// answer arrives, or the budget runs out.
-fn forward_cell(shared: &Arc<RouterShared>, key: &CellKey, deadline: Instant) -> CellReply {
+fn forward_cell(shared: &RouterShared, key: &CellKey, deadline: Instant) -> CellReply {
     let order = shared.placement(key);
     let body = key.single_cell_body();
     let cell_hash = splitmix64(fnv1a(key.canonical().as_bytes()));
@@ -981,7 +821,6 @@ mod tests {
             metrics: RouterMetrics::default(),
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
             started: now,
         }
     }
@@ -1036,7 +875,7 @@ mod tests {
 
     #[test]
     fn cell_slot_joins_see_the_leaders_reply() {
-        let slot = CellSlot::new();
+        let slot = FlightSlot::new();
         let waiter = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.wait_until(Instant::now() + Duration::from_secs(5)))
@@ -1047,7 +886,7 @@ mod tests {
             Some(CellReply::Unavailable)
         ));
         // A slot that is never filled times out instead of hanging.
-        let empty = CellSlot::new();
+        let empty = FlightSlot::<CellReply>::new();
         assert!(empty
             .wait_until(Instant::now() + Duration::from_millis(20))
             .is_none());

@@ -23,17 +23,16 @@
 
 use crate::disk::{DiskCache, RecoveryReport};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::http::{Handler, Reply, Request, Serving};
 use crate::json::{parse, Json};
 use crate::metrics::{Endpoint, Metrics};
 use crate::pool::{CellError, CellOutcome, CellPlan, CellStore, WorkerPool, DEFAULT_MEMORY_CELLS};
 use crate::wire::{
     error_body, kernels_body, render_cell_error, schemes_body, BadRequest, CellKey, GridRequest,
 };
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tpi::{lock_unpoisoned, wait_unpoisoned, Runner};
@@ -141,7 +140,6 @@ struct Shared {
     fault: Option<Arc<FaultPlan>>,
     shutdown: AtomicBool,
     shutdown_signal: (Mutex<bool>, Condvar),
-    active_conns: AtomicUsize,
     started: Instant,
     /// What the disk-cache recovery scan found at startup (`None` when
     /// the server runs memory-only).
@@ -158,15 +156,50 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
     }
 
+    /// Whether the fault plan fires `site` now; a fired fault is counted.
+    fn fires(&self, site: FaultSite) -> bool {
+        let fires = self.fault.as_ref().is_some_and(|plan| plan.fires(site));
+        if fires {
+            self.metrics.fault(site);
+        }
+        fires
+    }
+}
+
+impl Handler for Shared {
+    fn max_body(&self) -> usize {
+        self.config.max_body_bytes
+    }
+
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    fn admit(&self) -> bool {
+        if self.fires(FaultSite::ConnDrop) {
+            return false;
+        }
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    fn handle(&self, request: &Request) -> Reply {
+        let started = Instant::now();
+        let (endpoint, reply) = route(self, request);
+        self.metrics
+            .record_request(endpoint, reply.status, started.elapsed());
+        reply
+    }
+
+    fn truncate(&self) -> bool {
+        self.fires(FaultSite::RespTruncate)
     }
 }
 
 /// A running service instance.
 pub struct Server {
     shared: Arc<Shared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
+    serving: Serving,
 }
 
 impl Server {
@@ -212,19 +245,11 @@ impl Server {
             fault,
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
             started: Instant::now(),
             recovery,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("tpi-serve-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
-        Ok(Server {
-            shared,
-            accept_handle: Some(accept_handle),
-        })
+        let serving = Serving::start(listener, Arc::clone(&shared), "tpi-serve");
+        Ok(Server { shared, serving })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
@@ -284,17 +309,9 @@ impl Server {
     /// drain window.
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.request_shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        self.serving.stop_accepting();
         self.shared.pool.shutdown();
-        // Connections notice the flag within one idle-poll interval.
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::Acquire) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.serving.drain(Duration::from_secs(10));
         let m = &self.shared.metrics;
         ServeStats {
             experiment_requests: m.requests_for(Endpoint::Experiments),
@@ -310,155 +327,7 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                if let Some(plan) = &shared.fault {
-                    if plan.fires(FaultSite::ConnDrop) {
-                        shared.metrics.fault(FaultSite::ConnDrop);
-                        // Dropping the stream resets the connection
-                        // before a single byte is served.
-                        continue;
-                    }
-                }
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                shared.active_conns.fetch_add(1, Ordering::AcqRel);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("tpi-serve-conn".to_owned())
-                    .spawn(move || {
-                        connection_loop(&stream, &conn_shared);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// How long a connection blocks in `read` before re-checking the
-/// shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-fn connection_loop(stream: &TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Idle) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(HttpError::Closed | HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(message)) => {
-                let body = error_body("bad_request", &message);
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::BodyTooLarge(n)) => {
-                let body = error_body("body_too_large", &format!("{n} bytes exceeds the limit"));
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, response) = route(shared, &request);
-        shared
-            .metrics
-            .record_request(endpoint, response.status, started.elapsed());
-        let keep_alive = request.keep_alive && !shared.shutting_down();
-        let headers: Vec<(&str, String)> = response
-            .extra_headers
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        if let Some(plan) = &shared.fault {
-            if plan.fires(FaultSite::RespTruncate) {
-                shared.metrics.fault(FaultSite::RespTruncate);
-                // Render the full response, send only half of it, and
-                // hang up: the client sees garbage-terminated bytes.
-                let mut rendered = Vec::new();
-                let _ = write_response(
-                    &mut rendered,
-                    response.status,
-                    response.content_type,
-                    response.body.as_bytes(),
-                    &headers,
-                    false,
-                );
-                let mut out = stream;
-                let _ = out.write_all(&rendered[..rendered.len() / 2]);
-                return;
-            }
-        }
-        let mut out = stream;
-        if write_response(
-            &mut out,
-            response.status,
-            response.content_type,
-            response.body.as_bytes(),
-            &headers,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
-        }
-    }
-}
-
-struct RouteResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl RouteResponse {
-    fn json(status: u16, body: String) -> RouteResponse {
-        RouteResponse {
-            status,
-            content_type: "application/json",
-            body,
-            extra_headers: Vec::new(),
-        }
-    }
-}
-
-fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
+fn route(shared: &Shared, request: &Request) -> (Endpoint, Reply) {
     let path = request
         .target
         .split('?')
@@ -474,12 +343,12 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
                 handle_experiments(shared, &request.body),
             )
         }
-        ("GET", "/v1/kernels") => (Endpoint::Kernels, RouteResponse::json(200, kernels_body())),
-        ("GET", "/v1/schemes") => (Endpoint::Schemes, RouteResponse::json(200, schemes_body())),
+        ("GET", "/v1/kernels") => (Endpoint::Kernels, Reply::json(200, kernels_body())),
+        ("GET", "/v1/schemes") => (Endpoint::Schemes, Reply::json(200, schemes_body())),
         ("GET", "/healthz") => (Endpoint::Healthz, handle_healthz(shared)),
         ("GET", "/metrics") => (
             Endpoint::Metrics,
-            RouteResponse {
+            Reply {
                 status: 200,
                 content_type: "text/plain; version=0.0.4",
                 body: shared.metrics.render(
@@ -490,14 +359,14 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
                     shared.pool.workers(),
                     shared.started.elapsed(),
                 ),
-                extra_headers: Vec::new(),
+                headers: Vec::new(),
             },
         ),
         ("POST", "/admin/shutdown") => {
             shared.request_shutdown();
             (
                 Endpoint::Shutdown,
-                RouteResponse::json(200, "{\"status\":\"shutting down\"}".to_owned()),
+                Reply::json(200, "{\"status\":\"shutting down\"}".to_owned()),
             )
         }
         (
@@ -506,11 +375,11 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
             | "/admin/shutdown",
         ) => (
             Endpoint::Other,
-            RouteResponse::json(405, error_body("method_not_allowed", "wrong method")),
+            Reply::json(405, error_body("method_not_allowed", "wrong method")),
         ),
         _ => (
             Endpoint::Other,
-            RouteResponse::json(
+            Reply::json(
                 404,
                 error_body("not_found", &format!("no route for {path}")),
             ),
@@ -518,7 +387,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
     }
 }
 
-fn handle_healthz(shared: &Arc<Shared>) -> RouteResponse {
+fn handle_healthz(shared: &Shared) -> Reply {
     let mut members = vec![
         ("status", Json::from("ok")),
         (
@@ -542,45 +411,41 @@ fn handle_healthz(shared: &Arc<Shared>) -> RouteResponse {
             ]),
         ));
     }
-    RouteResponse::json(200, Json::obj(members).render())
+    Reply::json(200, Json::obj(members).render())
 }
 
-fn bad_request(shared: &Shared, err: &BadRequest) -> RouteResponse {
+fn bad_request(shared: &Shared, err: &BadRequest) -> Reply {
     shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-    RouteResponse::json(400, err.body())
+    Reply::json(400, err.body())
 }
 
-fn overloaded(shared: &Shared) -> RouteResponse {
+fn overloaded(shared: &Shared) -> Reply {
     shared
         .metrics
         .rejected_queue_full
         .fetch_add(1, Ordering::Relaxed);
-    let mut response = RouteResponse::json(
+    Reply::json(
         503,
         error_body(
             "overloaded",
             "work queue is full; retry after the suggested delay",
         ),
-    );
-    response.extra_headers.push(("retry-after", "1".to_owned()));
-    response
+    )
+    .header("retry-after", "1")
 }
 
-fn shutting_down_response() -> RouteResponse {
-    RouteResponse::json(
+fn shutting_down_response() -> Reply {
+    Reply::json(
         503,
         error_body("shutting_down", "the service is shutting down"),
     )
 }
 
-fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
-    if let Some(plan) = &shared.fault {
-        if plan.fires(FaultSite::Overload) {
-            shared.metrics.fault(FaultSite::Overload);
-            // Indistinguishable from real backpressure on the wire:
-            // clients must treat it as the retryable 503 it claims to be.
-            return overloaded(shared);
-        }
+fn handle_experiments(shared: &Shared, body: &[u8]) -> Reply {
+    if shared.fires(FaultSite::Overload) {
+        // Indistinguishable from real backpressure on the wire: clients
+        // must treat it as the retryable 503 it claims to be.
+        return overloaded(shared);
     }
     let Ok(text) = std::str::from_utf8(body) else {
         return bad_request(
@@ -675,7 +540,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
                         .metrics
                         .rejected_timeout
                         .fetch_add(1, Ordering::Relaxed);
-                    return RouteResponse::json(
+                    return Reply::json(
                         504,
                         error_body(
                             "timeout",
@@ -690,7 +555,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
             Err(CellError::Overloaded) => return overloaded(shared),
             Err(CellError::Failed(message)) => rendered.push(render_cell_error(&key, message)),
             Err(CellError::Panicked(message)) => {
-                return RouteResponse::json(
+                return Reply::json(
                     500,
                     error_body(
                         "cell_panicked",
@@ -703,7 +568,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
     }
     let count = rendered.len();
     let body = Json::obj([("cells", Json::Arr(rendered)), ("count", Json::from(count))]).render();
-    RouteResponse::json(200, body)
+    Reply::json(200, body)
 }
 
 enum Wait {

@@ -314,6 +314,39 @@ fn a_panicking_cell_fails_every_waiter_with_a_500_then_recomputes() {
 }
 
 #[test]
+fn keep_alive_posts_do_not_stall_on_delayed_acks() {
+    use std::io::BufReader;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    // A head and a body sent in two writes (by either side) wait for the
+    // peer's delayed ACK, about 40 ms per message on Linux, so 50
+    // round trips would take at least 2 s.
+    let (server, addr) = start(ServeConfig::default());
+    let body = r#"{"kernels":["FLO52"],"schemes":["TPI"],"scale":"test"}"#;
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(&stream);
+    let warm = loadgen::request_on(&stream, &mut reader, "POST", "/v1/experiments", body).unwrap();
+    assert_eq!(warm.status, 200);
+    let started = Instant::now();
+    for _ in 0..50 {
+        let response =
+            loadgen::request_on(&stream, &mut reader, "POST", "/v1/experiments", body).unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, warm.body);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive POSTs took {elapsed:?}"
+    );
+    drop(reader);
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
 fn garbage_bytes_get_a_400_or_a_close_and_the_server_survives() {
     use std::io::{Read, Write};
     use std::net::TcpStream;
