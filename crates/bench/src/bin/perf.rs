@@ -14,12 +14,9 @@
 //! full-map directory, and SC's invalidation storms) `reps` times. At the
 //! default paper scale the grid also carries two 64-processor
 //! `--scale large` cells (the large-scale replay path of EXPERIMENTS.md
-//! E24), and report mode appends an informational `sharding` section
-//! comparing serial vs sharded replay on prebuilt 64/256-processor
-//! traces — see [`measure_sharding`]. Every
-//! repetition of every cell is a *fresh, serial, unmemoized* pipeline run —
-//! build → mark → interpret → simulate — so the numbers measure the engine,
-//! not the artifact cache. Per cell it reports the median and p95 wall time
+//! E24). Every repetition of every cell is a *fresh, serial, unmemoized*
+//! pipeline run — build → mark → interpret → simulate — so the numbers
+//! measure the engine, not the artifact cache. Per cell it reports the median and p95 wall time
 //! (nearest-rank on the sorted repetitions) and `cells_per_sec`
 //! (`1 / median`), plus an aggregate tpi-prof stage/counter profile summed
 //! over every run, and writes the whole thing as schema-versioned JSON.
@@ -38,17 +35,17 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use tpi::{ExperimentConfig, ProfileReport, Runner};
-use tpi_proto::{build_engine, SchemeId};
+use tpi_proto::SchemeId;
 use tpi_serve::json::{parse, Json};
-use tpi_sim::{run_trace, run_trace_sharded, ShardOptions};
 use tpi_workloads::{Kernel, Scale};
 
 /// Format version of `BENCH_sim.json`. Bump on any incompatible layout
 /// change and teach [`parse_baseline`] the migration.
 ///
 /// v2: cells carry a per-cell `scale`, the paper grid grows two
-/// large-scale 64-processor cells, and the report adds `host_cores` plus
-/// an informational `sharding` section (serial vs sharded replay).
+/// large-scale 64-processor cells, and the report adds `host_cores`.
+/// (v2 reports once also carried an informational `sharding` section;
+/// `--check` never read it, so dropping it needed no version bump.)
 const SCHEMA_VERSION: u64 = 2;
 
 /// The pinned measurement grid. Deliberately small (20 cells): wide enough
@@ -68,14 +65,10 @@ const PROCS: [u32; 2] = [8, 16];
 /// Large-scale serial cells appended to the paper grid (and its gate):
 /// one kernel, the two cheapest schemes, 64 processors at
 /// [`Scale::Large`]. These keep the 64-processor replay path on the
-/// regression radar without blowing the CI smoke budget; the 256-processor
-/// points live in the informational [`measure_sharding`] section.
+/// regression radar without blowing the CI smoke budget.
 const LARGE_KERNEL: Kernel = Kernel::Ocean;
 const LARGE_SCHEMES: [SchemeId; 2] = [SchemeId::SC, SchemeId::TPI];
 const LARGE_PROCS: u32 = 64;
-
-/// Replay-shard count used by the sharding comparison section.
-const SHARDS: usize = 8;
 
 fn scale_name(scale: Scale) -> &'static str {
     match scale {
@@ -232,103 +225,13 @@ fn measure(scale: Scale, reps: usize) -> (Vec<CellReport>, Vec<f64>, ProfileRepo
     (cells, rep_totals_ms, profile)
 }
 
-/// One serial-vs-sharded replay comparison on a prebuilt trace.
-struct ShardCell {
-    kernel: &'static str,
-    scheme: &'static str,
-    procs: u32,
-    /// Sorted per-repetition serial replay times, milliseconds.
-    serial_ms: Vec<f64>,
-    /// Sorted per-repetition sharded replay times, milliseconds.
-    sharded_ms: Vec<f64>,
-    sim_events: u64,
-}
-
-impl ShardCell {
-    fn speedup(&self) -> f64 {
-        let sharded = nearest_rank(&self.sharded_ms, 0.5);
-        if sharded > 0.0 {
-            nearest_rank(&self.serial_ms, 0.5) / sharded
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measures sharded replay against one-engine `run_trace` on prebuilt
-/// large-scale traces (the pipeline front half is deliberately excluded:
-/// sharding only changes the replay loop). Informational — the `--check`
-/// gate never re-measures this section. Both paths replay a sync-free
-/// epoch of these shard-safe schemes flat, so the ratio isolates what the
-/// sharded driver itself adds: thread parallelism on a multi-core host,
-/// replica and merge overhead on a single core.
-fn measure_sharding(reps: usize) -> Vec<ShardCell> {
-    let mut out = Vec::new();
-    for procs in [64_u32, 256] {
-        for scheme in LARGE_SCHEMES {
-            let cfg = ExperimentConfig::builder()
-                .scheme(scheme)
-                .procs(procs)
-                .build()
-                .expect("the sharding grid is valid");
-            let program = LARGE_KERNEL.build(Scale::Large);
-            let marking = tpi_compiler::mark_program(&program, &cfg.compiler_options());
-            let trace = tpi_trace::generate_trace(&program, &marking, &cfg.trace_options())
-                .expect("large-scale kernels are race-free");
-            let engine_cfg = cfg.engine_config(trace.layout.total_words());
-            let shard_opts = ShardOptions {
-                shards: SHARDS,
-                ..ShardOptions::default()
-            };
-            let mut serial_ms = Vec::with_capacity(reps);
-            let mut sharded_ms = Vec::with_capacity(reps);
-            let mut sim_events = 0;
-            for _ in 0..reps {
-                let mut engine = build_engine(scheme, engine_cfg.clone());
-                let started = Instant::now();
-                let serial = run_trace(&trace, engine.as_mut(), &cfg.sim_options());
-                serial_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                let started = Instant::now();
-                let sharded =
-                    run_trace_sharded(&trace, scheme, &engine_cfg, &cfg.sim_options(), &shard_opts);
-                sharded_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                assert_eq!(
-                    serial.total_cycles, sharded.total_cycles,
-                    "sharded replay must stay bit-identical"
-                );
-                sim_events = serial.host.events;
-            }
-            serial_ms.sort_by(f64::total_cmp);
-            sharded_ms.sort_by(f64::total_cmp);
-            let cell = ShardCell {
-                kernel: LARGE_KERNEL.name(),
-                scheme: scheme.label(),
-                procs,
-                serial_ms,
-                sharded_ms,
-                sim_events,
-            };
-            eprintln!(
-                "[shard {}/{}/p{procs}  serial {:>8.2} ms  sharded {:>8.2} ms  {:.2}x]",
-                cell.kernel,
-                cell.scheme,
-                nearest_rank(&cell.serial_ms, 0.5),
-                nearest_rank(&cell.sharded_ms, 0.5),
-                cell.speedup(),
-            );
-            out.push(cell);
-        }
-    }
-    out
-}
-
 /// Rounds to 3 decimal places so the committed file stays diff-friendly.
 fn ms(v: f64) -> Json {
     Json::Num((v * 1e3).round() / 1e3)
 }
 
-/// Host cores visible to this process (recorded so a committed sharding
-/// speedup can be read in context).
+/// Host cores visible to this process (recorded so committed wall times
+/// can be read in the context of the host that measured them).
 fn host_cores() -> u64 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u64)
@@ -341,7 +244,6 @@ fn render_report(
     cells: &[CellReport],
     rep_totals_ms: &[f64],
     profile: &ProfileReport,
-    sharding: &[ShardCell],
 ) -> String {
     let cell_objs: Vec<Json> = cells
         .iter()
@@ -386,36 +288,6 @@ fn render_report(
             ])
         })
         .collect();
-    let shard_objs: Vec<Json> = sharding
-        .iter()
-        .map(|s| {
-            Json::obj([
-                ("kernel", Json::from(s.kernel)),
-                ("scheme", Json::from(s.scheme)),
-                ("procs", Json::from(s.procs)),
-                ("serial_median_wall_ms", ms(nearest_rank(&s.serial_ms, 0.5))),
-                (
-                    "sharded_median_wall_ms",
-                    ms(nearest_rank(&s.sharded_ms, 0.5)),
-                ),
-                ("speedup", ms(s.speedup())),
-                ("sim_events", Json::from(s.sim_events)),
-            ])
-        })
-        .collect();
-    let shard_serial_total: f64 = sharding
-        .iter()
-        .map(|s| nearest_rank(&s.serial_ms, 0.5))
-        .sum();
-    let shard_sharded_total: f64 = sharding
-        .iter()
-        .map(|s| nearest_rank(&s.sharded_ms, 0.5))
-        .sum();
-    let shard_speedup = if shard_sharded_total > 0.0 {
-        shard_serial_total / shard_sharded_total
-    } else {
-        0.0
-    };
     let doc = Json::obj([
         ("schema_version", Json::from(SCHEMA_VERSION)),
         ("generator", Json::from("tpi-bench perf")),
@@ -430,23 +302,6 @@ fn render_report(
                 ("median_wall_ms", ms(median_total)),
                 ("p95_wall_ms", ms(nearest_rank(rep_totals_ms, 0.95))),
                 ("cells_per_sec", ms(total_cells_per_sec)),
-            ]),
-        ),
-        (
-            // Serial vs sharded replay on prebuilt large-scale traces.
-            // Informational: `--check` does not re-measure this section.
-            "sharding",
-            Json::obj([
-                ("shards", Json::from(SHARDS)),
-                ("cells", Json::Arr(shard_objs)),
-                (
-                    "totals",
-                    Json::obj([
-                        ("serial_median_wall_ms", ms(shard_serial_total)),
-                        ("sharded_median_wall_ms", ms(shard_sharded_total)),
-                        ("speedup", ms(shard_speedup)),
-                    ]),
-                ),
             ]),
         ),
         (
@@ -682,14 +537,7 @@ fn main() -> ExitCode {
         let grid_median_ms = nearest_rank(&rep_totals_ms, 0.5);
         return check(&baseline, scale, &cells, grid_median_ms, tolerance);
     }
-    // Sharding comparison: report mode only (the gate never re-measures
-    // it), and only at the committed paper scale.
-    let sharding = if scale == Scale::Paper {
-        measure_sharding(reps)
-    } else {
-        Vec::new()
-    };
-    let report = render_report(scale, reps, &cells, &rep_totals_ms, &profile, &sharding);
+    let report = render_report(scale, reps, &cells, &rep_totals_ms, &profile);
     if let Err(e) = std::fs::write(&out_path, report + "\n") {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -95,40 +95,6 @@ fn bench_baseline_matches_golden_schema() {
         assert!(v.is_finite() && v > 0.0);
     }
 
-    // The sharding section compares one-engine and sharded replay on
-    // prebuilt large-scale traces. It is informational for the gate, but
-    // its shape is part of the schema contract. Both paths replay
-    // sync-free epochs flat, so which one is faster depends on the host's
-    // cores; only the section's internal consistency is pinned.
-    let sharding = doc.get("sharding").expect("sharding");
-    assert!(
-        sharding
-            .get("shards")
-            .and_then(Json::as_u64)
-            .expect("shards")
-            >= 2
-    );
-    let shard_cells = sharding
-        .get("cells")
-        .and_then(Json::as_array)
-        .expect("sharding.cells");
-    assert!(!shard_cells.is_empty());
-    for c in shard_cells {
-        for key in ["serial_median_wall_ms", "sharded_median_wall_ms", "speedup"] {
-            let v = c.get(key).and_then(Json::as_f64).expect(key);
-            assert!(v.is_finite() && v > 0.0, "sharding cell {key}");
-        }
-        assert!(c.get("procs").and_then(Json::as_u64).expect("procs") >= 64);
-    }
-    let totals = sharding.get("totals").expect("sharding.totals");
-    let total = |key| totals.get(key).and_then(Json::as_f64).expect(key);
-    let speedup = total("speedup");
-    let ratio = total("serial_median_wall_ms") / total("sharded_median_wall_ms");
-    assert!(
-        speedup.is_finite() && (speedup - ratio).abs() < 1e-3,
-        "sharding.totals.speedup {speedup} is not serial/sharded ({ratio})"
-    );
-
     // Stage/counter attribution rides along for cross-machine triage.
     let profile = doc.get("profile").expect("profile");
     let stages = profile

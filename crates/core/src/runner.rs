@@ -45,15 +45,14 @@
 //! ```
 
 use crate::config::ExperimentConfig;
-use crate::experiment::ExperimentResult;
+use crate::experiment::{simulate_cell, ExperimentResult};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
-use tpi_proto::{build_engine, SchemeId};
-use tpi_sim::{run_trace, run_trace_sharded, verify_accounting, ShardOptions};
+use tpi_proto::SchemeId;
 use tpi_trace::{generate_trace, Trace, TraceError, TraceOptions};
 use tpi_workloads::{Kernel, Scale};
 
@@ -266,9 +265,6 @@ struct StatCells {
 pub struct Runner {
     threads: usize,
     memoize: bool,
-    /// Engine shards per simulated cell (see [`Runner::with_sim_shards`]).
-    /// Purely an execution knob: results are bit-identical for any value.
-    sim_shards: usize,
     store: Mutex<ArtifactStore>,
     stats: StatCells,
     prof: crate::prof::Profiler,
@@ -303,41 +299,13 @@ impl Runner {
     /// A runner with an explicit worker count (`0` is clamped to 1).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        let sim_shards = std::env::var("TPI_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
         Runner {
             threads: threads.max(1),
             memoize: true,
-            sim_shards,
             store: Mutex::new(ArtifactStore::default()),
             stats: StatCells::default(),
             prof: crate::prof::Profiler::new(),
         }
-    }
-
-    /// Replays each simulated cell on `shards` engine shards
-    /// ([`tpi_sim::run_trace_sharded`]); `0` and `1` both mean the serial
-    /// replay loop. `TPI_SIM_SHARDS` sets the default for runners built
-    /// by the other constructors.
-    ///
-    /// This is an execution knob, not an experiment axis: the sharded
-    /// replay is bit-identical to the serial one (schemes whose protocol
-    /// state is interleaving-order-sensitive fall back to serial
-    /// internally), so it does not participate in cell keys, memoization,
-    /// or reproducibility stamps.
-    #[must_use]
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        self.sim_shards = shards.max(1);
-        self
-    }
-
-    /// The configured per-cell shard count.
-    #[must_use]
-    pub fn sim_shards(&self) -> usize {
-        self.sim_shards
     }
 
     /// Disables the artifact cache: every cell rebuilds, re-marks, and
@@ -725,12 +693,7 @@ impl Runner {
         let simulated = {
             let _s = self.prof.scope("simulate");
             parallel_map(self.threads, &unique, |(cell, trace, marking)| {
-                simulate_cell(
-                    &cell.config,
-                    trace.as_ref(),
-                    marking.as_ref(),
-                    self.sim_shards,
-                )
+                simulate_cell(&cell.config, trace.as_ref(), marking.as_ref())
             })
         };
         for r in &simulated {
@@ -754,12 +717,7 @@ impl Runner {
             let marking = mark_program(program.as_ref(), &cell.config.compiler_options());
             let trace = generate_trace(program.as_ref(), &marking, &cell.config.trace_options())?;
             self.harvest_trace(&trace);
-            Ok(simulate_cell(
-                &cell.config,
-                &trace,
-                &marking,
-                self.sim_shards,
-            ))
+            Ok(simulate_cell(&cell.config, &trace, &marking))
         });
         fresh_scope.finish();
         for r in results.iter().filter_map(|r| r.as_ref().ok()) {
@@ -779,41 +737,6 @@ impl Runner {
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
         // First error in submission order, as in the memoized path.
         results.into_iter().collect()
-    }
-}
-
-/// The scheme-dependent tail of the pipeline; bit-identical to what
-/// [`crate::run_program`] does after trace generation.
-fn simulate_cell(
-    config: &ExperimentConfig,
-    trace: &Trace,
-    marking: &Marking,
-    shards: usize,
-) -> ExperimentResult {
-    let sim = if shards > 1 {
-        let shard_opts = ShardOptions {
-            shards,
-            ..ShardOptions::default()
-        };
-        run_trace_sharded(
-            trace,
-            config.scheme,
-            &config.engine_config(trace.layout.total_words()),
-            &config.sim_options(),
-            &shard_opts,
-        )
-    } else {
-        let mut engine = build_engine(
-            config.scheme,
-            config.engine_config(trace.layout.total_words()),
-        );
-        run_trace(trace, engine.as_mut(), &config.sim_options())
-    };
-    verify_accounting(&sim).expect("engine accounting identity");
-    ExperimentResult {
-        sim,
-        marking: marking.summary(),
-        trace: trace.stats,
     }
 }
 

@@ -188,7 +188,7 @@ impl CoherenceEngine for BaseEngine {
         Some(self.wpath.buffer_stats())
     }
 
-    fn shard_safe(&self) -> bool {
+    fn order_insensitive(&self) -> bool {
         // Shared data is never cached, so the engine has no cross-
         // processor state at all beyond commutative traffic counters.
         true

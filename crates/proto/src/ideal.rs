@@ -131,7 +131,7 @@ impl CoherenceEngine for IdealEngine {
         &self.stats
     }
 
-    fn shard_safe(&self) -> bool {
+    fn order_insensitive(&self) -> bool {
         // Per-processor caches with oracle hits: no global state.
         true
     }

@@ -61,62 +61,6 @@ use tpi_cache::{CacheConfig, ResetStrategy, WriteBufferKind, WritePolicy};
 use tpi_mem::{Cycle, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, NetworkConfig};
 
-/// Which built-in coherence scheme to build.
-///
-/// **Deprecated alias**: new code should use [`SchemeId`] and the
-/// [`registry`] — this closed enum only names the original six built-ins
-/// and exists so that pre-registry configs and call sites keep working.
-/// Every `SchemeKind` converts losslessly into a [`SchemeId`]
-/// (`SchemeKind::Tpi.into()`), and the two compare equal across types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[deprecated(note = "use SchemeId and the scheme registry instead")]
-pub enum SchemeKind {
-    /// No caching of shared data.
-    Base,
-    /// Software cache-bypass.
-    Sc,
-    /// Two-phase invalidation (the paper's scheme).
-    Tpi,
-    /// Full-map directory, write-back MSI.
-    FullMap,
-    /// LimitLess directory with the configured number of pointers.
-    LimitLess,
-    /// Perfect-coherence oracle (lower bound; not a scheme from the
-    /// paper).
-    Ideal,
-}
-
-#[allow(deprecated)]
-impl SchemeKind {
-    /// The four schemes of the paper's main evaluation.
-    pub const MAIN: [SchemeKind; 4] = [
-        SchemeKind::Base,
-        SchemeKind::Sc,
-        SchemeKind::Tpi,
-        SchemeKind::FullMap,
-    ];
-
-    /// Short table label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::Base => "BASE",
-            SchemeKind::Sc => "SC",
-            SchemeKind::Tpi => "TPI",
-            SchemeKind::FullMap => "HW",
-            SchemeKind::LimitLess => "LL",
-            SchemeKind::Ideal => "IDEAL",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Display for SchemeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Everything needed to instantiate an engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -285,10 +229,8 @@ impl AccessOutcome {
 /// engines return stall cycles and account traffic into their [`Network`].
 ///
 /// `Debug` is a supertrait so model-checking tooling can fingerprint the
-/// complete protocol state; all engines derive it. `Send` is a supertrait
-/// so the shard-parallel simulator can move engines onto worker threads;
-/// engines are plain data and satisfy it structurally.
-pub trait CoherenceEngine: std::fmt::Debug + Send {
+/// complete protocol state; all engines derive it.
+pub trait CoherenceEngine: std::fmt::Debug {
     /// Scheme label for reports.
     fn name(&self) -> &'static str;
 
@@ -360,9 +302,10 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
 
     /// Whether this engine's per-event outcomes are a pure function of
     /// per-processor state, epoch-start global state, and commutative
-    /// global accumulators — the invariant that lets the shard-parallel
-    /// simulator replay disjoint processor sets on engine replicas and
-    /// merge at epoch boundaries with bit-identical results.
+    /// global accumulators, never of the mid-epoch interleaving of other
+    /// processors. The simulator replays sync-free epochs of such an
+    /// engine flat, each processor's stream straight through, instead of
+    /// in `(clock, processor)` order.
     ///
     /// True for the epoch-disciplined schemes (BASE, SC, TPI, IDEAL):
     /// their only cross-processor state is the memory version table,
@@ -370,37 +313,13 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// drain). False for the order-sensitive schemes: the directory
     /// engines observe mid-epoch sharer/owner state (three-hop dirty
     /// fetches, false-sharing invalidations) and Tardis stamps leases
-    /// from a live global read-timestamp table; those replay through the
-    /// serial core.
-    fn shard_safe(&self) -> bool {
+    /// from a live global read-timestamp table.
+    fn order_insensitive(&self) -> bool {
         false
     }
-
-    /// Switches on recording of memory-version commits so the shard
-    /// runner can exchange them between replicas (see
-    /// [`CoherenceEngine::drain_version_updates`]). Off by default:
-    /// serial runs must not pay for an ever-growing update log.
-    fn enable_shard_tracking(&mut self) {}
-
-    /// Takes the `(word address, version)` pairs committed to the memory
-    /// version table since the last drain. Empty unless
-    /// [`CoherenceEngine::enable_shard_tracking`] was called.
-    fn drain_version_updates(&mut self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-
-    /// Max-merges another shard's drained version commits into this
-    /// engine's memory version table. Versions grow monotonically, so the
-    /// merge is commutative and idempotent — shard order cannot matter.
-    /// Must not disturb any observational counter (the serial path never
-    /// calls this, and the shard merge must stay bit-identical to it).
-    fn apply_version_updates(&mut self, _updates: &[(u64, u64)]) {}
 }
 
 /// Builds the engine for `scheme` through the global [`registry`].
-///
-/// Accepts anything convertible to a [`SchemeId`] — the id itself or a
-/// legacy [`SchemeKind`].
 ///
 /// # Panics
 ///
@@ -421,9 +340,8 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
 /// assert!(hit.miss.is_none());
 /// ```
 #[must_use]
-pub fn build_engine(scheme: impl Into<SchemeId>, cfg: EngineConfig) -> Box<dyn CoherenceEngine> {
-    let id = scheme.into();
-    match registry::global().get(id) {
+pub fn build_engine(scheme: SchemeId, cfg: EngineConfig) -> Box<dyn CoherenceEngine> {
+    match registry::global().get(scheme) {
         Ok(s) => s.build(cfg),
         Err(e) => panic!("build_engine: {e}"),
     }
@@ -432,14 +350,6 @@ pub fn build_engine(scheme: impl Into<SchemeId>, cfg: EngineConfig) -> Box<dyn C
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn labels() {
-        assert_eq!(SchemeKind::Tpi.to_string(), "TPI");
-        assert_eq!(SchemeKind::FullMap.label(), "HW");
-        assert_eq!(SchemeKind::MAIN.len(), 4);
-    }
 
     #[test]
     fn config_shared_test() {
@@ -457,13 +367,6 @@ mod tests {
             assert!(!e.name().is_empty());
             assert_eq!(e.stats().per_proc().len(), 16);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn build_engine_accepts_legacy_kind() {
-        let e = build_engine(SchemeKind::FullMap, EngineConfig::paper_default(1024));
-        assert_eq!(e.name(), "HW");
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!
 //! Because the table advances only at barriers, every mid-epoch lookup is
 //! a pure function of per-processor state plus epoch-start global state —
-//! the invariant that lets the shard-parallel simulator replay disjoint
-//! processor sets on engine replicas and merge bit-identically (see
-//! `tpi-sim`'s `shard` module and DESIGN.md "Parallel simulation").
-//! Versions only grow, so the boundary commit is a max-merge: commutative
-//! and idempotent, independent of shard count and iteration order.
+//! the invariant that lets the simulator replay a sync-free epoch of TPI
+//! or SC flat, one processor's stream at a time (see
+//! `CoherenceEngine::order_insensitive`). Versions only grow, so the
+//! boundary commit is a max-merge, independent of iteration order.
 
 use tpi_mem::{FastMap, WordAddr};
 
@@ -28,10 +27,6 @@ pub(crate) struct EpochVersions {
     /// Versions written this epoch, visible only to the writing
     /// processor until the boundary (its write buffer's contents).
     pending: Vec<FastMap<u64, u64>>,
-    /// When set, boundary commits are also logged for the shard runner.
-    track: bool,
-    /// Commits since the last [`EpochVersions::drain_updates`] call.
-    drained: Vec<(u64, u64)>,
 }
 
 impl EpochVersions {
@@ -40,8 +35,6 @@ impl EpochVersions {
         EpochVersions {
             committed: FastMap::default(),
             pending: vec![FastMap::default(); procs as usize],
-            track: false,
-            drained: Vec::new(),
         }
     }
 
@@ -74,31 +67,8 @@ impl EpochVersions {
             for (&addr, &version) in pend.iter() {
                 let e = self.committed.entry(addr).or_insert(0);
                 *e = (*e).max(version);
-                if self.track {
-                    self.drained.push((addr, version));
-                }
             }
             pend.clear();
-        }
-    }
-
-    /// Switches on commit logging (shard-parallel runs only).
-    pub(crate) fn enable_tracking(&mut self) {
-        self.track = true;
-    }
-
-    /// Takes the commits logged since the last drain.
-    pub(crate) fn drain_updates(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.drained)
-    }
-
-    /// Max-merges another shard's drained commits into the committed
-    /// table. Does not log (the updates are already in flight) and does
-    /// not touch pending state.
-    pub(crate) fn apply_updates(&mut self, updates: &[(u64, u64)]) {
-        for &(addr, version) in updates {
-            let e = self.committed.entry(addr).or_insert(0);
-            *e = (*e).max(version);
         }
     }
 }
@@ -127,22 +97,5 @@ mod tests {
         v.commit_boundary();
         v.bump(0, WordAddr(8), 1);
         assert_eq!(v.read(0, WordAddr(8)), 5);
-    }
-
-    #[test]
-    fn tracking_drains_commits_and_apply_is_idempotent() {
-        let mut a = EpochVersions::new(2);
-        let mut b = EpochVersions::new(2);
-        a.enable_tracking();
-        b.enable_tracking();
-        a.bump(0, WordAddr(8), 4);
-        assert!(a.drain_updates().is_empty(), "nothing committed yet");
-        a.commit_boundary();
-        let ups = a.drain_updates();
-        assert_eq!(ups, vec![(8, 4)]);
-        b.apply_updates(&ups);
-        b.apply_updates(&ups);
-        assert_eq!(b.read(1, WordAddr(8)), 4);
-        assert!(b.drain_updates().is_empty(), "applies are not re-logged");
     }
 }

@@ -82,7 +82,7 @@ fn file_stem(canonical: &str) -> String {
 
 /// Why a record failed validation (quarantine reasons).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecordError {
+pub enum RecordError {
     /// Too short, bad magic, bad version, or lengths inconsistent with
     /// the file size — what a torn write looks like.
     Malformed,
@@ -91,8 +91,9 @@ enum RecordError {
     Checksum,
 }
 
-/// Encodes one record.
-fn encode(canonical: &str, payload: &str) -> Vec<u8> {
+/// Encodes one record in the format of the [module docs](self).
+#[must_use]
+pub fn encode(canonical: &str, payload: &str) -> Vec<u8> {
     let key = canonical.as_bytes();
     let body = payload.as_bytes();
     let mut out = Vec::with_capacity(HEADER + key.len() + body.len() + 8);
@@ -109,7 +110,12 @@ fn encode(canonical: &str, payload: &str) -> Vec<u8> {
 }
 
 /// Decodes and verifies one record, returning `(canonical key, payload)`.
-fn decode(bytes: &[u8]) -> Result<(&str, &str), RecordError> {
+///
+/// # Errors
+///
+/// Returns the [`RecordError`] that quarantines the record: any byte
+/// string that is not an intact record is refused, never a panic.
+pub fn decode(bytes: &[u8]) -> Result<(&str, &str), RecordError> {
     if bytes.len() < HEADER + 8 || bytes[..4] != MAGIC {
         return Err(RecordError::Malformed);
     }

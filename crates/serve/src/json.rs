@@ -223,6 +223,7 @@ impl std::error::Error for ParseError {}
 /// violation.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -238,6 +239,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -351,11 +353,14 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar. Decoding only the next
+                    // character, not re-validating the rest of the input,
+                    // keeps a long string linear.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -388,6 +393,10 @@ impl Parser<'_> {
             .get(self.pos..end)
             .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // `from_str_radix` alone would also take a sign ("+041").
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err("invalid \\u escape"));
+        }
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)

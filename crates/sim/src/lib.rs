@@ -37,7 +37,5 @@
 #![warn(missing_docs)]
 
 pub mod run;
-pub mod shard;
 
 pub use run::{run_trace, verify_accounting, EpochProfile, SimHostProfile, SimOptions, SimResult};
-pub use shard::{run_trace_sharded, ShardExec, ShardOptions};

@@ -7,9 +7,9 @@
 //! or post/wait events — a binary heap keyed by `(clock, processor)`
 //! always runs the earliest event next, which keeps cross-processor
 //! interactions causally ordered. Where it cannot matter — a sync-free
-//! epoch on a [`CoherenceEngine::shard_safe`] engine — each processor's
-//! stream replays straight through. At the epoch boundary all processors
-//! synchronize at a barrier: the engine adds its boundary costs
+//! epoch on a [`CoherenceEngine::order_insensitive`] engine — each
+//! processor's stream replays straight through. At the epoch boundary all
+//! processors synchronize at a barrier: the engine adds its boundary costs
 //! (write-buffer drain, two-phase resets), a fixed loop setup/scheduling
 //! overhead is charged, and the network's load estimate is refreshed from
 //! the epoch's traffic.
@@ -145,10 +145,11 @@ impl SimResult {
 /// Each epoch replays in one of two modes, chosen from the engine and the
 /// epoch alone:
 ///
-/// * **flat** — a sync-free epoch on a [`CoherenceEngine::shard_safe`]
-///   engine replays each processor's stream straight through. Such an
-///   engine's outcomes do not depend on the mid-epoch interleaving, so
-///   no ordering work is needed at all;
+/// * **flat** — a sync-free epoch on a
+///   [`CoherenceEngine::order_insensitive`] engine replays each
+///   processor's stream straight through. Such an engine's outcomes do
+///   not depend on the mid-epoch interleaving, so no ordering work is
+///   needed at all;
 /// * **heap** — every other epoch replays in min-`(clock, processor)`
 ///   order through a binary heap, so cross-processor protocol
 ///   interactions and lock/event hand-offs stay causally ordered.
@@ -166,7 +167,7 @@ pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOpti
         "trace and engine disagree on processor count"
     );
     let plan = SyncPlan::scan(trace);
-    let flat = engine.shard_safe();
+    let flat = engine.order_insensitive();
     let mut sched = Scheduler::new(&plan, procs);
     let mut global: Cycle = 0;
     let mut busy = vec![0u64; procs];
@@ -188,9 +189,7 @@ pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOpti
                 clocks[p] = replay_stream(engine, trace, &mut array_misses, p, stream, t0);
             }
         } else {
-            sched.replay_epoch(&plan, epoch, &mut clocks, |p, ev, now| {
-                engine_step(engine, trace, &mut array_misses, p, ev, now)
-            });
+            sched.replay_epoch(&plan, epoch, &mut clocks, engine, trace, &mut array_misses);
         }
         events_replayed += epoch.len() as u64;
         for p in 0..procs {
@@ -243,9 +242,9 @@ pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOpti
 /// The synchronization content of a trace, found by one pre-scan: which
 /// epochs are sync-free, and a dense keyspace for locks and post/wait
 /// pairs, so the scheduler indexes flat tables instead of hashing.
-pub(crate) struct SyncPlan {
+struct SyncPlan {
     /// Per epoch: no lock or post/wait event in any stream.
-    pub(crate) sync_free: Vec<bool>,
+    sync_free: Vec<bool>,
     /// One past the highest lock id (locks never span epochs).
     locks: usize,
     /// Every distinct post/wait `(event, index)` pair, sorted; a pair's
@@ -254,7 +253,7 @@ pub(crate) struct SyncPlan {
 }
 
 impl SyncPlan {
-    pub(crate) fn scan(trace: &Trace) -> SyncPlan {
+    fn scan(trace: &Trace) -> SyncPlan {
         let mut locks = 0;
         let mut pairs = Vec::new();
         let sync_free = trace
@@ -298,7 +297,7 @@ impl SyncPlan {
 /// `now` and returns the cycles it costs. Synchronization events cost
 /// their network round trip here; whether they may run yet is the
 /// [`Scheduler`]'s decision.
-pub(crate) fn engine_step(
+fn engine_step(
     engine: &mut dyn CoherenceEngine,
     trace: &Trace,
     array_misses: &mut [u64],
@@ -347,7 +346,7 @@ pub(crate) fn engine_step(
 
 /// Flat replay: processor `p`'s `stream` straight through from `t0`.
 /// Returns the processor's end clock.
-pub(crate) fn replay_stream(
+fn replay_stream(
     engine: &mut dyn CoherenceEngine,
     trace: &Trace,
     array_misses: &mut [u64],
@@ -370,7 +369,7 @@ pub(crate) fn replay_stream(
 /// instant. Every key in the heap is at least the current `(now, p)`, so
 /// only true waiters are ever moved in time, and events execute at
 /// non-decreasing times.
-pub(crate) struct Scheduler {
+struct Scheduler {
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// Next event per processor.
     idx: Vec<usize>,
@@ -384,13 +383,13 @@ pub(crate) struct Scheduler {
     waiters: Vec<Vec<usize>>,
     stamp: u64,
     /// Lock acquisitions so far.
-    pub(crate) lock_acquires: u64,
+    lock_acquires: u64,
     /// Cycles processors spent blocked on locks and events so far.
-    pub(crate) lock_wait_cycles: Cycle,
+    lock_wait_cycles: Cycle,
 }
 
 impl Scheduler {
-    pub(crate) fn new(plan: &SyncPlan, procs: usize) -> Scheduler {
+    fn new(plan: &SyncPlan, procs: usize) -> Scheduler {
         Scheduler {
             heap: BinaryHeap::with_capacity(procs),
             idx: vec![0; procs],
@@ -404,19 +403,21 @@ impl Scheduler {
     }
 
     /// Replays `epoch` from the start times in `clocks`, leaving every
-    /// processor's end time there. `exec` performs the engine side of an
-    /// event once the scheduler has let it run (see [`engine_step`]).
+    /// processor's end time there. Once the scheduler lets an event run,
+    /// [`engine_step`] performs its engine side.
     ///
     /// # Panics
     ///
     /// Panics ("lock deadlock") if processors with events left are all
     /// blocked.
-    pub(crate) fn replay_epoch(
+    fn replay_epoch(
         &mut self,
         plan: &SyncPlan,
         epoch: &EpochEvents,
         clocks: &mut [Cycle],
-        mut exec: impl FnMut(usize, &Event, Cycle) -> Cycle,
+        engine: &mut dyn CoherenceEngine,
+        trace: &Trace,
+        array_misses: &mut [u64],
     ) {
         self.stamp += 1;
         self.idx.fill(0);
@@ -468,7 +469,7 @@ impl Scheduler {
                     }
                     _ => {}
                 }
-                clocks[p] += exec(p, ev, now);
+                clocks[p] += engine_step(engine, trace, array_misses, p, ev, now);
                 self.idx[p] += 1;
                 if self.idx[p] == stream.len() {
                     remaining -= 1;
@@ -502,17 +503,13 @@ impl Scheduler {
 
 /// Saturating nanoseconds since `start` (a duration that overflows `u64`
 /// nanoseconds pins at `u64::MAX` instead of panicking).
-pub(crate) fn elapsed_nanos_since(start: Instant) -> u64 {
+fn elapsed_nanos_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Renders a dense per-array miss tally as the report's sorted
-/// `(array name, misses)` table (shared by the one-engine and sharded
-/// paths).
-pub(crate) fn miss_by_array_table(
-    layout: &tpi_mem::MemLayout,
-    array_misses: &[u64],
-) -> Vec<(String, u64)> {
+/// `(array name, misses)` table.
+fn miss_by_array_table(layout: &tpi_mem::MemLayout, array_misses: &[u64]) -> Vec<(String, u64)> {
     let mut v: Vec<(String, u64)> = array_misses
         .iter()
         .enumerate()

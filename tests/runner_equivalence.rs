@@ -1,13 +1,20 @@
 //! The Runner's contract: a memoized, parallel grid is *observably
 //! identical* to fresh, serial runs — same cycle counts, same traffic,
 //! same rendered tables — and the artifact cache is invalidated by
-//! exactly the options each pipeline stage depends on.
+//! exactly the options each pipeline stage depends on. Below the Runner,
+//! `run_trace`'s flat replay of order-insensitive engines is pinned to
+//! its heap-scheduled replay.
 
+use std::any::Any;
 use tpi::{run_kernel, run_program, ExperimentConfig, Runner};
-use tpi_compiler::OptLevel;
+use tpi_compiler::{mark_program, OptLevel};
 use tpi_ir::{subs, ProgramBuilder};
-use tpi_proto::{registry, SchemeId};
+use tpi_mem::{Cycle, ProcId, ReadKind, WordAddr};
+use tpi_net::Network;
+use tpi_proto::{build_engine, registry, AccessOutcome, CoherenceEngine, EngineStats, SchemeId};
+use tpi_sim::run_trace;
 use tpi_testkit::prelude::*;
+use tpi_trace::generate_trace;
 use tpi_workloads::{Kernel, Scale};
 
 fn cfg(scheme: SchemeId) -> ExperimentConfig {
@@ -239,50 +246,103 @@ fn assert_sim_identical(a: &tpi_sim::SimResult, b: &tpi_sim::SimResult, ctx: &st
     assert_eq!(a.miss_by_array, b.miss_by_array, "{ctx}: miss_by_array");
 }
 
-#[test]
-fn sharded_replay_is_bit_identical_for_every_scheme() {
-    // The tentpole pin: for EVERY registered scheme, a sharded runner must
-    // produce results bit-identical to the serial replay loop. MDG
-    // exercises the sync-ful dispatcher path (lock-guarded critical
-    // sections route through the owner shard's engine replica); FSHARE
-    // exercises heavy cross-shard false sharing. Shard-safe engines
-    // (BASE, SC, TPI, IDEAL) take the flat per-shard path; order-sensitive
-    // ones (HW, LL, TARDIS, HYB) must detect themselves and fall back —
-    // either way the observable result is the same.
-    let schemes: Vec<SchemeId> = registry::global().all().iter().map(|s| s.id()).collect();
-    assert!(schemes.len() >= 8, "the full registry is under test");
-    for kernel in [Kernel::Mdg, Kernel::FalseShare] {
-        for &scheme in &schemes {
-            let serial = Runner::serial()
-                .with_sim_shards(1)
-                .run_kernel(kernel, Scale::Test, &cfg(scheme))
-                .unwrap();
-            let sharded = Runner::serial()
-                .with_sim_shards(4)
-                .run_kernel(kernel, Scale::Test, &cfg(scheme))
-                .unwrap();
-            assert_sim_identical(&serial.sim, &sharded.sim, &format!("{kernel}/{scheme}"));
-            assert_eq!(serial.marking, sharded.marking, "{kernel}/{scheme}");
-            assert_eq!(serial.trace, sharded.trace, "{kernel}/{scheme}");
-        }
+/// A real engine that reports itself order-sensitive, which makes
+/// `run_trace` replay every epoch through its `(clock, processor)` heap
+/// instead of flat. Every other call goes straight to the wrapped engine.
+#[derive(Debug)]
+struct HeapOnly(Box<dyn CoherenceEngine>);
+
+impl CoherenceEngine for HeapOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+    fn read(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        kind: ReadKind,
+        version: u64,
+        now: Cycle,
+    ) -> AccessOutcome {
+        self.0.read(proc, addr, kind, version, now)
+    }
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+        self.0.write(proc, addr, version, now)
+    }
+    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+        self.0.write_critical(proc, addr, version, now)
+    }
+    fn epoch_boundary(&mut self, per_proc_now: &[Cycle]) -> Vec<Cycle> {
+        self.0.epoch_boundary(per_proc_now)
+    }
+    fn network(&self) -> &Network {
+        self.0.network()
+    }
+    fn network_mut(&mut self) -> &mut Network {
+        self.0.network_mut()
+    }
+    fn stats(&self) -> &EngineStats {
+        self.0.stats()
+    }
+    fn write_buffer_stats(&self) -> Option<tpi_cache::WriteBufferStats> {
+        self.0.write_buffer_stats()
+    }
+    fn op_counts(&self) -> Vec<(&'static str, u64)> {
+        self.0.op_counts()
+    }
+    fn order_insensitive(&self) -> bool {
+        false
     }
 }
 
+/// Replays `kernel` under `config` twice from one trace: flat, on the
+/// order-insensitive engine itself, and heap-scheduled, through
+/// [`HeapOnly`]. Returns `(flat, heap)`.
+fn flat_and_heap(
+    kernel: Kernel,
+    config: &ExperimentConfig,
+) -> (tpi_sim::SimResult, tpi_sim::SimResult) {
+    let program = kernel.build(Scale::Test);
+    let marking = mark_program(&program, &config.compiler_options());
+    let trace = generate_trace(&program, &marking, &config.trace_options()).unwrap();
+    let engine = || {
+        build_engine(
+            config.scheme,
+            config.engine_config(trace.layout.total_words()),
+        )
+    };
+    let mut flat = engine();
+    assert!(
+        flat.order_insensitive(),
+        "{}: the flat side must replay flat",
+        config.scheme
+    );
+    let flat = run_trace(&trace, flat.as_mut(), &config.sim_options());
+    let heap = run_trace(&trace, &mut HeapOnly(engine()), &config.sim_options());
+    (flat, heap)
+}
+
+/// The order-insensitive schemes: the ones `run_trace` replays flat.
+const ORDER_INSENSITIVE: [SchemeId; 4] =
+    [SchemeId::BASE, SchemeId::SC, SchemeId::TPI, SchemeId::IDEAL];
+
 #[test]
-fn shard_counts_one_two_seven_and_sixty_four_agree() {
-    // `sim_shards` is an execution knob, not a model parameter: any count
-    // (including one exceeding the processor count, which clamps) must
-    // yield the identical result.
-    let reference = Runner::serial()
-        .with_sim_shards(1)
-        .run_kernel(Kernel::Qcd2, Scale::Test, &cfg(SchemeId::TPI))
-        .unwrap();
-    for shards in [2usize, 7, 64] {
-        let got = Runner::serial()
-            .with_sim_shards(shards)
-            .run_kernel(Kernel::Qcd2, Scale::Test, &cfg(SchemeId::TPI))
-            .unwrap();
-        assert_sim_identical(&reference.sim, &got.sim, &format!("shards={shards}"));
+fn flat_replay_equals_heap_replay_for_every_order_insensitive_scheme() {
+    // Flat replay is only a shortcut: for an order-insensitive engine it
+    // must give exactly what the heap scheduler gives. MDG has lock-guarded
+    // critical sections (its sync-ful epochs must take the heap on both
+    // sides); FSHARE has heavy false sharing across processors.
+    for kernel in [Kernel::Mdg, Kernel::FalseShare] {
+        for scheme in ORDER_INSENSITIVE {
+            let (flat, heap) = flat_and_heap(kernel, &cfg(scheme));
+            assert_sim_identical(&flat, &heap, &format!("{kernel}/{scheme}"));
+        }
     }
 }
 
@@ -290,31 +350,28 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn shard_count_never_changes_results(
+    fn flat_replay_never_changes_results(
         seed in any::<u64>(),
-        shards in prop_oneof![Just(2usize), Just(3), Just(7), Just(64)],
-        scheme in prop_oneof![Just(SchemeId::TPI), Just(SchemeId::SC)],
+        scheme in prop_oneof![
+            Just(SchemeId::BASE),
+            Just(SchemeId::SC),
+            Just(SchemeId::TPI),
+            Just(SchemeId::IDEAL),
+        ],
     ) {
         // Randomized seeds vary the opaque-subscript gather targets, so
-        // the shard-count-independence claim is checked across many
-        // distinct traces, not one golden input.
+        // flat == heap is checked across many distinct traces, not one
+        // golden input.
         let config = ExperimentConfig::builder()
             .scheme(scheme)
             .seed(seed)
             .build()
             .unwrap();
-        let serial = Runner::serial()
-            .with_sim_shards(1)
-            .run_kernel(Kernel::Qcd2, Scale::Test, &config)
-            .unwrap();
-        let sharded = Runner::serial()
-            .with_sim_shards(shards)
-            .run_kernel(Kernel::Qcd2, Scale::Test, &config)
-            .unwrap();
-        prop_assert_eq!(serial.sim.total_cycles, sharded.sim.total_cycles);
-        prop_assert_eq!(&serial.sim.agg, &sharded.sim.agg);
-        prop_assert_eq!(&serial.sim.per_proc, &sharded.sim.per_proc);
-        prop_assert_eq!(&serial.sim.traffic, &sharded.sim.traffic);
-        prop_assert_eq!(&serial.sim.miss_by_array, &sharded.sim.miss_by_array);
+        let (flat, heap) = flat_and_heap(Kernel::Qcd2, &config);
+        prop_assert_eq!(flat.total_cycles, heap.total_cycles);
+        prop_assert_eq!(&flat.agg, &heap.agg);
+        prop_assert_eq!(&flat.per_proc, &heap.per_proc);
+        prop_assert_eq!(&flat.traffic, &heap.traffic);
+        prop_assert_eq!(&flat.miss_by_array, &heap.miss_by_array);
     }
 }
