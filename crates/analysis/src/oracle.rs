@@ -189,7 +189,7 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
 
     for ee in &trace.epochs {
         let epoch = ee.epoch;
-        for (p, events) in ee.per_proc.iter().enumerate() {
+        for (p, events) in ee.streams().enumerate() {
             let proc = ProcId(p as u32);
             for ev in events {
                 match ev {
@@ -201,7 +201,7 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                         stats.reads += 1;
                         let key = (proc.0, addr.0);
                         let copy = copies.get(&key).copied();
-                        let stale = copy.is_some_and(|c| c.version < *version);
+                        let stale = copy.is_some_and(|c| c.version < version);
                         match kind {
                             ReadKind::Critical => {
                                 // Uncached fetch: no cache state touched.
@@ -215,13 +215,13 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                                         violations.push(Violation {
                                             mode,
                                             proc,
-                                            addr: *addr,
+                                            addr,
                                             epoch,
-                                            kind: *kind,
-                                            required_version: *version,
+                                            kind,
+                                            required_version: version,
                                             copy_version: c.version,
                                             copy_epoch: c.stamp,
-                                            writer: truth.writer(*addr, *version),
+                                            writer: truth.writer(addr, version),
                                         });
                                     }
                                 }
@@ -240,7 +240,7 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                                 if mode == OracleMode::Tpi && stale {
                                     let c = copy.expect("stale implies resident");
                                     let distance = match kind {
-                                        ReadKind::TimeRead { distance } => u64::from(*distance),
+                                        ReadKind::TimeRead { distance } => u64::from(distance),
                                         _ => 0, // Bypass behaves as distance 0
                                     };
                                     let age = epoch
@@ -250,13 +250,13 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                                         violations.push(Violation {
                                             mode,
                                             proc,
-                                            addr: *addr,
+                                            addr,
                                             epoch,
-                                            kind: *kind,
-                                            required_version: *version,
+                                            kind,
+                                            required_version: version,
                                             copy_version: c.version,
                                             copy_epoch: c.stamp,
-                                            writer: truth.writer(*addr, *version),
+                                            writer: truth.writer(addr, version),
                                         });
                                     }
                                 }
@@ -267,7 +267,7 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                         copies.insert(
                             key,
                             CopyState {
-                                version: *version,
+                                version,
                                 stamp: epoch,
                             },
                         );
@@ -279,7 +279,7 @@ pub fn check_trace(trace: &Trace, mode: OracleMode) -> OracleReport {
                         copies.insert(
                             (proc.0, addr.0),
                             CopyState {
-                                version: *version,
+                                version,
                                 stamp: epoch,
                             },
                         );

@@ -359,13 +359,14 @@ impl Runner {
     }
 
     /// Attributes one freshly interpreted trace's self-measured host
-    /// profile to the report.
+    /// profile and its size to the report.
     fn harvest_trace(&self, trace: &Trace) {
         self.prof
             .add("prepare/interp/serial", trace.host.serial_nanos, 1);
         self.prof
             .add("prepare/interp/doall", trace.host.doall_nanos, 1);
         self.prof.incr("interp_epochs", trace.stats.epochs);
+        self.prof.incr("trace_bytes", trace.heap_bytes() as u64);
     }
 
     /// A snapshot of the cache counters.
@@ -1291,6 +1292,42 @@ mod tests {
             prof.stage("prepare/interp/doall").unwrap().calls,
             "cache hit must not re-harvest interpreter time"
         );
+    }
+
+    #[test]
+    fn trace_bytes_counter_sums_the_built_traces() {
+        let runner = Runner::serial();
+        let mut cells = Vec::new();
+        for kernel in [Kernel::Flo52, Kernel::Ocean] {
+            for procs in [8, 16] {
+                // Two schemes per trace: the second cell reuses the first's.
+                for scheme in [SchemeId::TPI, SchemeId::SC] {
+                    cells.push(RunSpec {
+                        source: ProgramSource::Kernel(kernel, Scale::Test),
+                        config: ExperimentConfig::builder()
+                            .procs(procs)
+                            .scheme(scheme)
+                            .build()
+                            .unwrap(),
+                    });
+                }
+            }
+        }
+        let prepared = runner.prepare(&cells).unwrap();
+        let mut distinct: Vec<&Arc<Trace>> = Vec::new();
+        for cell in &prepared {
+            if !distinct.iter().any(|t| Arc::ptr_eq(t, &cell.trace)) {
+                distinct.push(&cell.trace);
+            }
+        }
+        assert_eq!(distinct.len(), 4);
+        assert_eq!(runner.stats().traces_built, 4);
+        let bytes: usize = distinct.iter().map(|t| t.heap_bytes()).sum();
+        assert!(bytes > 0);
+        assert_eq!(runner.profile().counter("trace_bytes"), bytes as u64);
+        // A memoized re-run builds nothing, so the counter stays put.
+        runner.prepare(&cells).unwrap();
+        assert_eq!(runner.profile().counter("trace_bytes"), bytes as u64);
     }
 
     #[test]

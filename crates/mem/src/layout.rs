@@ -21,6 +21,15 @@ impl fmt::Display for ArrayId {
     }
 }
 
+/// An array subscript outside its dimension (see [`MemLayout::addr`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexOutOfBounds {
+    /// The offending index.
+    pub index: i64,
+    /// The dimension's extent (valid indices are `0..extent`).
+    pub extent: u64,
+}
+
 /// Whether a variable participates in interprocessor sharing.
 ///
 /// Early compiler-directed machines (C.mmp, Cedar) used exactly this binary
@@ -152,13 +161,20 @@ impl MemLayout {
 
     /// Word address of element `indices` of array `id`, row-major.
     ///
+    /// Subscripts that depend on runtime values (loop bounds, opaque index
+    /// functions) can only be range-checked here, so an out-of-bounds
+    /// index is an error the interpreter reports, not a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexOutOfBounds`] for the first index outside its
+    /// dimension's extent.
+    ///
     /// # Panics
     ///
-    /// Panics if the index rank mismatches the declaration or any index is
-    /// out of bounds (the validator in `tpi-ir` guarantees in-bounds access
-    /// for well-formed programs; out-of-bounds here indicates an IR bug).
-    #[must_use]
-    pub fn addr(&self, id: ArrayId, indices: &[i64]) -> WordAddr {
+    /// Panics if the index rank mismatches the declaration (the IR
+    /// validator guarantees matching ranks).
+    pub fn addr(&self, id: ArrayId, indices: &[i64]) -> Result<WordAddr, IndexOutOfBounds> {
         let decl = self.decl(id);
         assert_eq!(
             indices.len(),
@@ -170,14 +186,15 @@ impl MemLayout {
         );
         let mut offset = 0u64;
         for (&ix, &dim) in indices.iter().zip(&decl.dims) {
-            assert!(
-                ix >= 0 && (ix as u64) < dim,
-                "index {ix} out of bounds 0..{dim} for array {}",
-                decl.name
-            );
+            if ix < 0 || ix as u64 >= dim {
+                return Err(IndexOutOfBounds {
+                    index: ix,
+                    extent: dim,
+                });
+            }
             offset = offset * dim + ix as u64;
         }
-        WordAddr(self.base(id).0 + offset)
+        Ok(WordAddr(self.base(id).0 + offset))
     }
 
     /// The array containing `addr`, if any (None for padding words).
@@ -233,18 +250,26 @@ mod tests {
     #[test]
     fn row_major_addressing() {
         let l = layout();
-        assert_eq!(l.addr(ArrayId(0), &[0]), WordAddr(0));
-        assert_eq!(l.addr(ArrayId(0), &[9]), WordAddr(9));
-        assert_eq!(l.addr(ArrayId(1), &[0, 0]), WordAddr(12));
-        assert_eq!(l.addr(ArrayId(1), &[1, 0]), WordAddr(16));
-        assert_eq!(l.addr(ArrayId(1), &[2, 3]), WordAddr(23));
+        assert_eq!(l.addr(ArrayId(0), &[0]), Ok(WordAddr(0)));
+        assert_eq!(l.addr(ArrayId(0), &[9]), Ok(WordAddr(9)));
+        assert_eq!(l.addr(ArrayId(1), &[0, 0]), Ok(WordAddr(12)));
+        assert_eq!(l.addr(ArrayId(1), &[1, 0]), Ok(WordAddr(16)));
+        assert_eq!(l.addr(ArrayId(1), &[2, 3]), Ok(WordAddr(23)));
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_index_panics() {
+    fn out_of_bounds_index_is_an_error() {
         let l = layout();
-        let _ = l.addr(ArrayId(0), &[10]);
+        let err = IndexOutOfBounds {
+            index: 10,
+            extent: 10,
+        };
+        assert_eq!(l.addr(ArrayId(0), &[10]), Err(err));
+        let err = IndexOutOfBounds {
+            index: -1,
+            extent: 3,
+        };
+        assert_eq!(l.addr(ArrayId(1), &[-1, 0]), Err(err));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod fasthash;
 pub mod layout;
 
 pub use fasthash::{FastBuildHasher, FastHasher, FastMap, FastSet};
-pub use layout::{ArrayDecl, ArrayId, MemLayout, Sharing};
+pub use layout::{ArrayDecl, ArrayId, IndexOutOfBounds, MemLayout, Sharing};
 
 use std::fmt;
 

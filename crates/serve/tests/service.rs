@@ -110,6 +110,9 @@ fn concurrent_overlapping_requests_match_a_serial_runner() {
         "duplicates must hit the cache or join a flight (cached {cached}, joined {joined})"
     );
     assert!(cached + joined > 0.0, "single-flight must be visible");
+    let trace_bytes = metric_value(&text, "tpi_prof_events_total{event=\"trace_bytes\"}")
+        .expect("trace_bytes counter exported");
+    assert!(trace_bytes > 0.0, "held trace bytes must be counted");
 
     let stats = server.shutdown();
     assert_eq!(stats.cells_computed as usize, unique_cells.len());

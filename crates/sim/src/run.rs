@@ -16,11 +16,12 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
 use std::time::Instant;
 use tpi_mem::{Cycle, ProcId};
 use tpi_net::TrafficClass;
 use tpi_proto::CoherenceEngine;
-use tpi_trace::{EpochEvents, Event, Trace};
+use tpi_trace::{EpochEvents, Event, Events, Trace};
 
 /// Simulator knobs that are not part of the coherence engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +64,8 @@ pub struct SimHostProfile {
     /// Host nanoseconds spent in [`CoherenceEngine::epoch_boundary`]
     /// (write-buffer drains, two-phase resets).
     pub boundary_nanos: u64,
-    /// Trace events replayed.
+    /// Trace events replayed (logical events: a `Compute` folded into a
+    /// packed write record counts as one).
     pub events: u64,
     /// Engine-reported operation counters (see
     /// [`CoherenceEngine::op_counts`]).
@@ -185,7 +187,7 @@ pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOpti
         let misses_before = engine.stats().aggregate().read_misses();
         clocks.fill(t0);
         if flat && plan.sync_free[e] {
-            for (p, stream) in epoch.per_proc.iter().enumerate() {
+            for (p, stream) in epoch.streams().enumerate() {
                 clocks[p] = replay_stream(engine, trace, &mut array_misses, p, stream, t0);
             }
         } else {
@@ -261,8 +263,8 @@ impl SyncPlan {
             .iter()
             .map(|epoch| {
                 let mut free = true;
-                for ev in epoch.per_proc.iter().flatten() {
-                    match *ev {
+                for ev in epoch.events() {
+                    match ev {
                         Event::AcquireLock(l) | Event::ReleaseLock(l) => {
                             free = false;
                             locks = locks.max(l as usize + 1);
@@ -302,11 +304,11 @@ fn engine_step(
     trace: &Trace,
     array_misses: &mut [u64],
     p: usize,
-    ev: &Event,
+    ev: Event,
     now: Cycle,
 ) -> Cycle {
     let proc = ProcId(p as u32);
-    match *ev {
+    match ev {
         Event::Compute(c) => Cycle::from(c),
         Event::Read {
             addr,
@@ -351,10 +353,10 @@ fn replay_stream(
     trace: &Trace,
     array_misses: &mut [u64],
     p: usize,
-    stream: &[Event],
+    stream: Events<'_>,
     t0: Cycle,
 ) -> Cycle {
-    stream.iter().fold(t0, |now, ev| {
+    stream.fold(t0, |now, ev| {
         now + engine_step(engine, trace, array_misses, p, ev, now)
     })
 }
@@ -371,8 +373,6 @@ fn replay_stream(
 /// non-decreasing times.
 struct Scheduler {
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// Next event per processor.
-    idx: Vec<usize>,
     /// Holder per lock id.
     holder: Vec<Option<usize>>,
     /// Epoch stamp of each post/wait pair's post (stamping replaces
@@ -392,7 +392,6 @@ impl Scheduler {
     fn new(plan: &SyncPlan, procs: usize) -> Scheduler {
         Scheduler {
             heap: BinaryHeap::with_capacity(procs),
-            idx: vec![0; procs],
             holder: vec![None; plan.locks],
             posted: vec![0; plan.pairs.len()],
             waiters: vec![Vec::new(); plan.locks + plan.pairs.len()],
@@ -420,23 +419,24 @@ impl Scheduler {
         array_misses: &mut [u64],
     ) {
         self.stamp += 1;
-        self.idx.fill(0);
         self.holder.fill(None);
         self.heap.clear();
+        // Each processor's next event, decoded from its packed stream.
+        let mut streams: Vec<Peekable<Events<'_>>> =
+            epoch.streams().map(Iterator::peekable).collect();
         let mut remaining = 0usize;
-        for (p, stream) in epoch.per_proc.iter().enumerate() {
-            if !stream.is_empty() {
+        for (p, stream) in streams.iter_mut().enumerate() {
+            if stream.peek().is_some() {
                 self.heap.push(Reverse((clocks[p], p)));
                 remaining += 1;
             }
         }
         while let Some(Reverse((_, p))) = self.heap.pop() {
-            let stream = &epoch.per_proc[p];
+            let stream = &mut streams[p];
             // `p` keeps running while its key stays the smallest.
-            loop {
-                let ev = &stream[self.idx[p]];
+            while let Some(&ev) = stream.peek() {
                 let now = clocks[p];
-                match *ev {
+                match ev {
                     Event::AcquireLock(l) => {
                         let l = l as usize;
                         if self.holder[l].is_some() {
@@ -470,8 +470,8 @@ impl Scheduler {
                     _ => {}
                 }
                 clocks[p] += engine_step(engine, trace, array_misses, p, ev, now);
-                self.idx[p] += 1;
-                if self.idx[p] == stream.len() {
+                stream.next();
+                if stream.peek().is_none() {
                     remaining -= 1;
                     break;
                 }

@@ -10,13 +10,14 @@ use tpi_trace::{EpochEvents, EpochExecKind, Event, Trace};
 
 fn trace_of(per_proc: Vec<Vec<Event>>) -> Trace {
     let num_procs = per_proc.len() as u32;
-    let epochs = vec![EpochEvents {
-        epoch: Epoch(0),
-        kind: EpochExecKind::Doall {
+    let epochs = vec![EpochEvents::from_streams(
+        Epoch(0),
+        EpochExecKind::Doall {
             iterations: num_procs as u64,
         },
-        per_proc,
-    }];
+        &per_proc,
+    )
+    .expect("hand-assembled events fit the packed record")];
     let stats = Trace::compute_stats(&epochs);
     Trace {
         epochs,

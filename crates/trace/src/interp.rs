@@ -10,6 +10,7 @@
 //! tasks).
 
 use crate::event::{EpochEvents, EpochExecKind, Event, InterpHostProfile, Trace};
+use crate::record::{self, Record};
 use crate::sched::{assign, SchedulePolicy};
 use std::error::Error;
 use std::fmt;
@@ -64,6 +65,27 @@ pub enum TraceError {
         /// Epoch in which the conflict occurred.
         epoch: Epoch,
     },
+    /// An array subscript evaluated outside the array's extent.
+    OutOfBounds {
+        /// Array name.
+        array: String,
+        /// The offending index.
+        index: i64,
+        /// The dimension's extent (valid indices are `0..extent`).
+        extent: u64,
+        /// Epoch in which the access executed.
+        epoch: Epoch,
+    },
+    /// An event field is wider than its slot in the packed trace record
+    /// (see [`crate::record`]).
+    DoesNotFit {
+        /// Which field.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+        /// The largest value the slot holds.
+        max: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -75,6 +97,19 @@ impl fmt::Display for TraceError {
                     "DOALL race on {addr} in {epoch}: iterations are not independent"
                 )
             }
+            TraceError::OutOfBounds {
+                array,
+                index,
+                extent,
+                epoch,
+            } => write!(
+                f,
+                "index {index} out of bounds 0..{extent} for array {array} in {epoch}"
+            ),
+            TraceError::DoesNotFit { field, value, max } => write!(
+                f,
+                "{field} {value} does not fit the packed trace record (max {max})"
+            ),
         }
     }
 }
@@ -86,7 +121,9 @@ impl Error for TraceError {}
 /// # Errors
 ///
 /// Returns [`TraceError::Race`] if race checking is enabled and two DOALL
-/// iterations of one epoch conflict on a word.
+/// iterations of one epoch conflict on a word, [`TraceError::OutOfBounds`]
+/// if a subscript leaves its array, and [`TraceError::DoesNotFit`] if an
+/// event exceeds the packed record.
 pub fn generate_trace(
     program: &Program,
     marking: &Marking,
@@ -103,6 +140,7 @@ pub fn generate_trace(
         versions: FastMap::default(),
         races: FastMap::default(),
         posts: FastMap::default(),
+        bufs: vec![Vec::new(); opts.num_procs as usize],
         epochs: Vec::new(),
         error: None,
         host: InterpHostProfile::default(),
@@ -113,10 +151,12 @@ pub fn generate_trace(
     if let Some(e) = interp.error {
         return Err(e);
     }
-    let stats = Trace::compute_stats(&interp.epochs);
+    let mut epochs = interp.epochs;
+    epochs.shrink_to_fit();
+    let stats = Trace::compute_stats(&epochs);
     let host = interp.host;
     Ok(Trace {
-        epochs: interp.epochs,
+        epochs,
         layout,
         num_procs: opts.num_procs,
         stats,
@@ -168,6 +208,9 @@ struct Interp<'a> {
     /// Per-epoch post table ((event, index) -> posting task), likewise
     /// hoisted and cleared per epoch.
     posts: FastMap<(u32, i64), i64>,
+    /// Per-processor record buffers of the current epoch, packed into its
+    /// [`EpochEvents`] at the end and reused by the next.
+    bufs: Vec<Vec<Record>>,
     epochs: Vec<EpochEvents>,
     error: Option<TraceError>,
     host: InterpHostProfile,
@@ -217,10 +260,17 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// Packs the current epoch's record buffers into the trace.
+    fn finish_epoch(&mut self, epoch: Epoch, kind: EpochExecKind) {
+        match EpochEvents::pack(epoch, kind, &mut self.bufs) {
+            Ok(ee) => self.epochs.push(ee),
+            Err(e) => self.error = Some(e),
+        }
+    }
+
     fn exec_serial_epoch(&mut self, stmts: &[&'a Stmt], env: &mut Env) {
         let host_start = Instant::now();
         let epoch = Epoch(self.epochs.len() as u64);
-        let mut per_proc: Vec<Vec<Event>> = vec![Vec::new(); self.opts.num_procs as usize];
         self.posts.clear();
         let serial_proc = if self.opts.rotate_serial {
             (epoch.0 % u64::from(self.opts.num_procs)) as u32
@@ -235,10 +285,12 @@ impl<'a> Interp<'a> {
                 marking: self.marking,
                 num_procs: self.opts.num_procs,
                 proc: ProcId(serial_proc),
-                sink: &mut per_proc[serial_proc as usize],
+                epoch,
+                sink: &mut self.bufs[serial_proc as usize],
                 races: None,
                 task_id: 0,
                 race_found: None,
+                fault: None,
                 critical: None,
                 posts: &mut self.posts,
                 waited: Vec::new(),
@@ -246,12 +298,12 @@ impl<'a> Interp<'a> {
             for s in stmts {
                 task.exec_stmt(s, env);
             }
+            if let Some(e) = task.fault {
+                self.error = Some(e);
+                return;
+            }
         }
-        self.epochs.push(EpochEvents {
-            epoch,
-            kind: EpochExecKind::Serial,
-            per_proc,
-        });
+        self.finish_epoch(epoch, EpochExecKind::Serial);
         self.host.serial_nanos = self
             .host
             .serial_nanos
@@ -276,7 +328,6 @@ impl<'a> Interp<'a> {
             self.opts.seed,
             epoch.0,
         );
-        let mut per_proc: Vec<Vec<Event>> = vec![Vec::new(); self.opts.num_procs as usize];
         self.races.clear();
         self.posts.clear();
         // Iterations run in a merged order that respects each processor's
@@ -309,10 +360,12 @@ impl<'a> Interp<'a> {
                 marking: self.marking,
                 num_procs: self.opts.num_procs,
                 proc: ProcId(p as u32),
-                sink: &mut per_proc[p],
+                epoch,
+                sink: &mut self.bufs[p],
                 races: self.opts.check_races.then_some(&mut self.races),
                 task_id: iter,
                 race_found: None,
+                fault: None,
                 critical: None,
                 posts: &mut self.posts,
                 waited: Vec::new(),
@@ -320,20 +373,22 @@ impl<'a> Interp<'a> {
             for s in &l.body {
                 task.exec_stmt(s, env);
             }
-            if let Some(bad) = task.race_found {
-                self.error = Some(TraceError::Race { addr: bad, epoch });
+            let fault = task
+                .fault
+                .or_else(|| task.race_found.map(|addr| TraceError::Race { addr, epoch }));
+            if let Some(e) = fault {
+                self.error = Some(e);
                 env.unbind(l.var);
                 return;
             }
         }
         env.unbind(l.var);
-        self.epochs.push(EpochEvents {
+        self.finish_epoch(
             epoch,
-            kind: EpochExecKind::Doall {
+            EpochExecKind::Doall {
                 iterations: values.len() as u64,
             },
-            per_proc,
-        });
+        );
         self.host.doall_nanos = self
             .host
             .doall_nanos
@@ -349,10 +404,14 @@ struct TaskCtx<'a, 'b> {
     marking: &'a Marking,
     num_procs: u32,
     proc: ProcId,
-    sink: &'b mut Vec<Event>,
+    epoch: Epoch,
+    sink: &'b mut Vec<Record>,
     races: Option<&'b mut FastMap<u64, WordAccess>>,
     task_id: i64,
     race_found: Option<WordAddr>,
+    /// First out-of-bounds subscript or unpackable event; once set, the
+    /// task stops executing.
+    fault: Option<TraceError>,
     /// Lock currently held (inside a critical section).
     critical: Option<u32>,
     /// Posts performed so far this epoch: (event, index) -> posting task.
@@ -362,7 +421,16 @@ struct TaskCtx<'a, 'b> {
 }
 
 impl<'a, 'b> TaskCtx<'a, 'b> {
+    fn emit(&mut self, ev: &Event) {
+        if let Err(e) = record::push(self.sink, ev) {
+            self.fault.get_or_insert(e);
+        }
+    }
+
     fn exec_stmt(&mut self, s: &'a Stmt, env: &mut Env) {
+        if self.fault.is_some() {
+            return;
+        }
         match s {
             Stmt::Assign(a) => {
                 for (idx, r) in a.reads.iter().enumerate() {
@@ -373,7 +441,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
                     self.do_read(r, site, env);
                 }
                 if a.cost > 0 {
-                    self.sink.push(Event::Compute(a.cost));
+                    self.emit(&Event::Compute(a.cost));
                 }
                 if let Some(w) = &a.write {
                     self.do_write(w, env);
@@ -383,7 +451,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
                 let lo = l.lo.eval(env);
                 let hi = l.hi.eval(env);
                 let mut v = lo;
-                while v <= hi {
+                while v <= hi && self.fault.is_none() {
                     env.bind(l.var, v);
                     for s in &l.body {
                         self.exec_stmt(s, env);
@@ -411,18 +479,18 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
                 }
             }
             Stmt::Critical(c) => {
-                self.sink.push(Event::AcquireLock(c.lock.0));
+                self.emit(&Event::AcquireLock(c.lock.0));
                 let prev = self.critical.replace(c.lock.0);
                 for s in &c.body {
                     self.exec_stmt(s, env);
                 }
                 self.critical = prev;
-                self.sink.push(Event::ReleaseLock(c.lock.0));
+                self.emit(&Event::ReleaseLock(c.lock.0));
             }
             Stmt::Post { event, index } => {
                 let k = index.eval(env);
                 self.posts.insert((event.0, k), self.task_id);
-                self.sink.push(Event::PostEvent {
+                self.emit(&Event::PostEvent {
                     event: event.0,
                     index: k,
                 });
@@ -430,7 +498,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
             Stmt::Wait { event, index } => {
                 let k = index.eval(env);
                 self.waited.push((event.0, k));
-                self.sink.push(Event::WaitEvent {
+                self.emit(&Event::WaitEvent {
                     event: event.0,
                     index: k,
                 });
@@ -441,7 +509,9 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         }
     }
 
-    fn addr_of(&self, r: &ArrayRef, env: &Env) -> (WordAddr, bool) {
+    /// The word `r` addresses and whether it is shared, or `None` (with
+    /// the fault recorded) for an out-of-bounds subscript.
+    fn addr_of(&mut self, r: &ArrayRef, env: &Env) -> Option<(WordAddr, bool)> {
         // addr_of runs once per memory reference — the interpreter's
         // innermost hot path — so subscripts are evaluated into a fixed
         // stack buffer instead of a fresh Vec per access. Ranks above the
@@ -465,8 +535,19 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
             heap = r.subs.iter().zip(decl.dims()).map(eval_sub).collect();
             &heap
         };
-        let base = self.layout.addr(r.array, indices);
-        match decl.sharing() {
+        let base = match self.layout.addr(r.array, indices) {
+            Ok(base) => base,
+            Err(e) => {
+                self.fault.get_or_insert(TraceError::OutOfBounds {
+                    array: decl.name().to_owned(),
+                    index: e.index,
+                    extent: e.extent,
+                    epoch: self.epoch,
+                });
+                return None;
+            }
+        };
+        Some(match decl.sharing() {
             Sharing::Shared => (base, true),
             Sharing::Private => {
                 // Each processor owns a disjoint replica region above the
@@ -477,11 +558,13 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
                     false,
                 )
             }
-        }
+        })
     }
 
     fn do_read(&mut self, r: &ArrayRef, site: RefSite, env: &Env) {
-        let (addr, shared) = self.addr_of(r, env);
+        let Some((addr, shared)) = self.addr_of(r, env) else {
+            return;
+        };
         if shared {
             self.track_race(addr, false);
         }
@@ -493,7 +576,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         } else {
             self.marking.tpi_kind(site)
         };
-        self.sink.push(Event::Read {
+        self.emit(&Event::Read {
             addr,
             kind,
             version,
@@ -501,7 +584,9 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
     }
 
     fn do_write(&mut self, w: &ArrayRef, env: &Env) {
-        let (addr, shared) = self.addr_of(w, env);
+        let Some((addr, shared)) = self.addr_of(w, env) else {
+            return;
+        };
         if shared {
             self.track_race(addr, true);
         }
@@ -509,9 +594,9 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         *v += 1;
         let version = *v;
         if shared && self.critical.is_some() {
-            self.sink.push(Event::CriticalWrite { addr, version });
+            self.emit(&Event::CriticalWrite { addr, version });
         } else {
-            self.sink.push(Event::Write { addr, version });
+            self.emit(&Event::Write { addr, version });
         }
     }
 
@@ -593,7 +678,9 @@ mod tests {
         assert_eq!(t.stats.marked_reads, 64);
         assert_eq!(t.stats.iterations, 128);
         // Static block on 16 procs: each proc has 4 iterations.
-        assert_eq!(t.epochs[0].per_proc[0].len(), 4 * 2); // compute + write
+        assert_eq!(t.epochs[0].stream(0).count(), 4 * 2); // compute + write
+                                                          // Each compute rides in its write's record: 64 records, 16 offsets.
+        assert_eq!(t.epochs[0].heap_bytes(), 64 * 12 + 16 * 4);
     }
 
     #[test]
@@ -612,9 +699,9 @@ mod tests {
             },
         )
         .unwrap();
-        for ev in t.epochs[1].per_proc.iter().flatten() {
+        for ev in t.epochs[1].events() {
             if let Event::Read { version, .. } = ev {
-                assert_eq!(*version, 1, "read must observe the first write");
+                assert_eq!(version, 1, "read must observe the first write");
             }
         }
     }
@@ -694,9 +781,8 @@ mod tests {
         // Collect write addresses per proc; the address sets must be
         // disjoint because each proc has its own replica region.
         let mut per_proc_addrs: Vec<Vec<u64>> = Vec::new();
-        for evs in &t.epochs[0].per_proc {
+        for evs in t.epochs[0].streams() {
             let addrs: Vec<u64> = evs
-                .iter()
                 .filter_map(|e| match e {
                     Event::Write { addr, .. } => Some(addr.0),
                     _ => None,
@@ -729,9 +815,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.epochs.len(), 1);
-        assert!(!t.epochs[0].per_proc[0].is_empty());
+        assert!(t.epochs[0].stream(0).next().is_some());
         for p in 1..16 {
-            assert!(t.epochs[0].per_proc[p].is_empty());
+            assert!(t.epochs[0].stream(p).next().is_none());
         }
     }
 
@@ -750,9 +836,7 @@ mod tests {
         };
         let t1 = trace_of(build, &opts).unwrap();
         let t2 = trace_of(build, &opts).unwrap();
-        for (e1, e2) in t1.epochs.iter().zip(&t2.epochs) {
-            assert_eq!(e1.per_proc, e2.per_proc);
-        }
+        assert_eq!(t1.epochs, t2.epochs);
     }
 
     #[test]

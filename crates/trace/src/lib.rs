@@ -38,10 +38,12 @@
 
 pub mod event;
 pub mod interp;
+pub mod record;
 pub mod sched;
 pub mod truth;
 
 pub use event::{EpochEvents, EpochExecKind, Event, InterpHostProfile, Trace, TraceStats};
 pub use interp::{generate_trace, TraceError, TraceOptions};
+pub use record::{Events, Record};
 pub use sched::{assign, Assignment, SchedulePolicy};
 pub use truth::{GroundTruth, Writer};

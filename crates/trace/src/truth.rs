@@ -2,11 +2,12 @@
 //!
 //! Every [`Event::Write`]/[`Event::CriticalWrite`] in a trace carries the
 //! global version the word holds *after* the store, and the epoch/processor
-//! of the store are positional (which [`crate::EpochEvents`] and which `per_proc`
-//! lane it sits in). Scanning the trace therefore recovers, for every
-//! `(word, version)` pair, the runtime epoch and processor that produced
-//! it — the "last writer" oracle the analysis layer replays markings
-//! against. No extra instrumentation of the interpreter is required.
+//! of the store are positional (which [`crate::EpochEvents`] and which
+//! processor stream it sits in). Scanning the trace therefore recovers, for
+//! every `(word, version)` pair, the runtime epoch and processor that
+//! produced it — the "last writer" oracle the analysis layer replays
+//! markings against. No extra instrumentation of the interpreter is
+//! required.
 
 use crate::event::{Event, Trace};
 use std::collections::HashMap;
@@ -35,12 +36,12 @@ impl GroundTruth {
     pub fn of_trace(trace: &Trace) -> Self {
         let mut writers = HashMap::new();
         for ee in &trace.epochs {
-            for (p, events) in ee.per_proc.iter().enumerate() {
+            for (p, events) in ee.streams().enumerate() {
                 let proc = ProcId(p as u32);
                 for ev in events {
                     let (addr, version, critical) = match ev {
-                        Event::Write { addr, version } => (*addr, *version, false),
-                        Event::CriticalWrite { addr, version } => (*addr, *version, true),
+                        Event::Write { addr, version } => (addr, version, false),
+                        Event::CriticalWrite { addr, version } => (addr, version, true),
                         _ => continue,
                     };
                     writers.insert(
@@ -87,10 +88,10 @@ mod tests {
     #[test]
     fn recovers_writers_by_position() {
         let epochs = vec![
-            EpochEvents {
-                epoch: Epoch(0),
-                kind: EpochExecKind::Doall { iterations: 2 },
-                per_proc: vec![
+            EpochEvents::from_streams(
+                Epoch(0),
+                EpochExecKind::Doall { iterations: 2 },
+                &[
                     vec![Event::Write {
                         addr: WordAddr(0),
                         version: 1,
@@ -100,11 +101,12 @@ mod tests {
                         version: 1,
                     }],
                 ],
-            },
-            EpochEvents {
-                epoch: Epoch(1),
-                kind: EpochExecKind::Serial,
-                per_proc: vec![
+            )
+            .unwrap(),
+            EpochEvents::from_streams(
+                Epoch(1),
+                EpochExecKind::Serial,
+                &[
                     vec![
                         Event::Read {
                             addr: WordAddr(0),
@@ -118,7 +120,8 @@ mod tests {
                     ],
                     vec![],
                 ],
-            },
+            )
+            .unwrap(),
         ];
         let stats = Trace::compute_stats(&epochs);
         let trace = Trace {

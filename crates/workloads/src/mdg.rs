@@ -109,7 +109,7 @@ mod tests {
         let criticals = trace
             .epochs
             .iter()
-            .flat_map(|e| e.per_proc.iter().flatten())
+            .flat_map(tpi_trace::EpochEvents::events)
             .filter(|ev| {
                 matches!(
                     ev,

@@ -77,7 +77,7 @@ mod tests {
         let marked = trace
             .epochs
             .iter()
-            .flat_map(|e| e.per_proc.iter().flatten())
+            .flat_map(tpi_trace::EpochEvents::events)
             .filter(|ev| matches!(ev, Event::Read { kind, .. } if kind.is_marked()))
             .count();
         assert!(marked > 0);
@@ -92,7 +92,7 @@ mod tests {
         let reads = |t: &tpi_trace::Trace| -> Vec<u64> {
             t.epochs
                 .iter()
-                .flat_map(|e| e.per_proc.iter().flatten())
+                .flat_map(tpi_trace::EpochEvents::events)
                 .filter_map(|ev| match ev {
                     Event::Read {
                         addr,

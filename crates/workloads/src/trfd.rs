@@ -86,7 +86,7 @@ mod tests {
         let distinct: std::collections::HashSet<u64> = trace
             .epochs
             .iter()
-            .flat_map(|e| e.per_proc.iter().flatten())
+            .flat_map(tpi_trace::EpochEvents::events)
             .filter_map(|ev| match ev {
                 tpi_trace::Event::Write { addr, .. } => Some(addr.0),
                 _ => None,

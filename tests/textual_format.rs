@@ -113,3 +113,44 @@ fn parsed_doacross_prefix_sum_is_correctly_ordered() {
         .unwrap();
     run_program(&program, &c).expect("ordered and race-free");
 }
+
+/// Parses a shipped sample after replacing its one `from` line with `to`.
+fn mutated_sample(file: &str, from: &str, to: &str) -> tpi_ir::Program {
+    let src = std::fs::read_to_string(file).unwrap();
+    assert_eq!(src.matches(from).count(), 1, "{file} holds `{from}` once");
+    parse_program(&src.replace(from, to)).expect("the mutation still parses")
+}
+
+/// Runs `program` and expects the interpreter's out-of-bounds error.
+fn expect_out_of_bounds(program: &tpi_ir::Program, want_array: &str, want_index: i64) {
+    let err = run_program(program, &cfg(SchemeId::TPI)).expect_err("must not run");
+    match &err {
+        tpi_trace::TraceError::OutOfBounds { array, index, .. } => {
+            assert_eq!((array.as_str(), *index), (want_array, want_index), "{err}");
+        }
+        other => panic!("expected an out-of-bounds error, got {other}"),
+    }
+    assert!(err.to_string().contains("out of bounds"), "{err}");
+}
+
+#[test]
+fn histogram_scan_from_zero_is_an_out_of_bounds_error() {
+    // `b = 0` makes the else branch read SCAN(b-1) = SCAN(-1). The bound
+    // is an expression, so only the interpreter can see it.
+    let program = mutated_sample(
+        "examples/programs/histogram.tpi",
+        "doall b = 1, 64",
+        "doall b = 1-1, 64",
+    );
+    expect_out_of_bounds(&program, "SCAN", -1);
+}
+
+#[test]
+fn transpose_doall_from_minus_one_is_an_out_of_bounds_error() {
+    let program = mutated_sample(
+        "examples/programs/transpose.tpi",
+        "  doall i = 0, 95\n    do j = 0, 95\n      A(i, j) = f[1]()",
+        "  doall i = -1, 95\n    do j = 0, 95\n      A(i, j) = f[1]()",
+    );
+    expect_out_of_bounds(&program, "A", -1);
+}
