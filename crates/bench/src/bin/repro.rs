@@ -114,6 +114,10 @@ fn main() -> ExitCode {
     );
     if timing {
         eprintln!("[cache: {}]", stats.cache());
+        eprintln!(
+            "[memo: {} bytes held, {} evictions]",
+            stats.memo_bytes, stats.memo_evictions
+        );
         let profile = runner.profile();
         if !profile.is_empty() {
             eprint!("{profile}");

@@ -317,6 +317,9 @@ fn run(opts: &Options) -> ExitCode {
         for (name, value) in &report.counters {
             println!("profile counter={name} value={value}");
         }
+        let stats = runner.stats();
+        println!("profile memo_bytes={}", stats.memo_bytes);
+        println!("profile memo_evictions={}", stats.memo_evictions);
         println!("profile total_nanos={}", report.total_nanos());
         println!("profile wall_nanos={wall_nanos}");
     }

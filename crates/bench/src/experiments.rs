@@ -1295,8 +1295,9 @@ mod tests {
         let after_e7 = runner.stats();
         assert_eq!(after_e7.traces_built, 6, "e7 reuses e3's traces");
         assert_eq!(
-            after_e7.cells_simulated, 48,
-            "cells are re-simulated (results are not cached), traces are not re-interpreted"
+            (after_e7.cells_simulated, after_e7.cells_deduped),
+            (24, 24),
+            "e7's cells are all answered from the cell memo"
         );
     }
 }

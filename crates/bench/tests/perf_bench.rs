@@ -151,7 +151,8 @@ fn profile_output_reconciles_with_wall_clock() {
     let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
 
     let mut stage_nanos: Vec<(String, u64)> = Vec::new();
-    let mut counters = 0usize;
+    let mut counters: Vec<String> = Vec::new();
+    let mut memo_bytes = None;
     let mut total_nanos = None;
     let mut wall_nanos = None;
     for line in stdout.lines().filter(|l| l.starts_with("profile ")) {
@@ -170,8 +171,10 @@ fn profile_output_reconciles_with_wall_clock() {
             let calls: u64 = get("calls").expect("calls").parse().expect("calls u64");
             assert!(calls > 0, "stage {stage} has zero calls");
             stage_nanos.push((stage, nanos));
-        } else if get("counter").is_some() {
-            counters += 1;
+        } else if let Some(counter) = get("counter") {
+            counters.push(counter);
+        } else if let Some(v) = get("memo_bytes") {
+            memo_bytes = Some(v.parse::<u64>().expect("memo bytes u64"));
         } else if let Some(v) = get("total_nanos") {
             total_nanos = Some(v.parse::<u64>().expect("total u64"));
         } else if let Some(v) = get("wall_nanos") {
@@ -181,7 +184,14 @@ fn profile_output_reconciles_with_wall_clock() {
 
     let total = total_nanos.expect("total_nanos line") as f64;
     let wall = wall_nanos.expect("wall_nanos line") as f64;
-    assert!(counters > 0, "at least one counter line");
+    for want in ["sim_events", "interp_events", "trace_bytes"] {
+        assert!(counters.iter().any(|c| c == want), "counter {want} present");
+    }
+    assert!(
+        memo_bytes.expect("memo_bytes line") > 0,
+        "the memo holds the run"
+    );
+    assert!(stdout.contains("profile memo_evictions=0\n"), "{stdout}");
     let stages: Vec<&str> = stage_nanos.iter().map(|(s, _)| s.as_str()).collect();
     assert!(stages.contains(&"prepare"), "prepare stage present");
     assert!(stages.contains(&"simulate"), "simulate stage present");

@@ -16,7 +16,7 @@ use tpi_trace::{SchedulePolicy, TraceOptions};
 /// analytic multistage network with a 100-cycle base line-miss latency,
 /// write-through write-allocate caches with infinite write buffers for the
 /// HSCD schemes, and weak consistency throughout.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExperimentConfig {
     /// Coherence scheme under test (a registry [`SchemeId`], resolved
     /// through [`tpi_proto::registry::global()`]).

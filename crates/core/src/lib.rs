@@ -63,6 +63,7 @@
 pub mod cli;
 pub mod config;
 pub mod experiment;
+pub mod lru;
 pub mod prof;
 pub mod report;
 pub mod runner;
@@ -73,6 +74,7 @@ pub mod tables;
 pub use cli::CliError;
 pub use config::{ConfigBuilder, ConfigError, ExperimentConfig};
 pub use experiment::{run_kernel, run_program, ExperimentResult};
+pub use lru::Lru;
 pub use prof::{ProfileReport, Profiler, StageProfile};
 pub use runner::{
     CacheStats, CellGrid, CellId, GridBuilder, GridOutcome, GridResult, PreparedCell,

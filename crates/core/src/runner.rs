@@ -15,6 +15,23 @@
 //! and fans the remaining per-cell simulations across OS threads with
 //! [`std::thread::scope`].
 //!
+//! # The memo
+//!
+//! Beyond programs and markings, the runner keeps one
+//! [`Lru`] memo of two kinds of entry, charged by heap bytes against one
+//! fixed budget ([`MAX_TRACE_BYTES`], the interpreter's own bound on one
+//! trace):
+//!
+//! * **cell results**, keyed by program and [`ExperimentConfig`] and kept
+//!   across grids, so a cell that any earlier grid (or an earlier cell of
+//!   the same grid) ran builds no artifacts and is never replayed again;
+//! * **traces**, shared by every cell that differs only in scheme or
+//!   cache geometry. A grid in flight holds its traces through `Arc`s,
+//!   and eviction skips any trace held outside the memo, so the budget
+//!   can only be passed by the traces of grids still running.
+//!
+//! Evicted entries are rebuilt on demand, bit-identically.
+//!
 //! Determinism: every pipeline stage is a pure function of its inputs,
 //! cells are simulated independently, and results are returned in
 //! submission order — so a parallel, memoized grid produces *bit-identical*
@@ -46,6 +63,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::experiment::{simulate_cell, ExperimentResult};
+use crate::lru::Lru;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,7 +71,7 @@ use std::sync::{Arc, Mutex};
 use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
 use tpi_proto::SchemeId;
-use tpi_trace::{generate_trace, Trace, TraceError, TraceOptions};
+use tpi_trace::{generate_trace, Trace, TraceError, TraceOptions, MAX_TRACE_BYTES};
 use tpi_workloads::{Kernel, Scale};
 
 /// Where a cell's program comes from.
@@ -123,11 +141,74 @@ pub struct PreparedCell {
 type MarkingKey = (ProgramKey, CompilerOptions);
 type TraceKey = (ProgramKey, CompilerOptions, TraceOptions);
 
+impl RunSpec {
+    fn trace_key(&self) -> TraceKey {
+        (
+            self.source.key(),
+            self.config.compiler_options(),
+            self.config.trace_options(),
+        )
+    }
+
+    fn cell_key(&self) -> MemoKey {
+        MemoKey::Cell(self.source.key(), self.config)
+    }
+}
+
+/// Programs and markings: few and small (their keys range over kernels
+/// and compiler options), so they live as long as the runner.
 #[derive(Default)]
 struct ArtifactStore {
     programs: HashMap<ProgramKey, Arc<Program>>,
     markings: HashMap<MarkingKey, Arc<Marking>>,
-    traces: HashMap<TraceKey, Arc<Trace>>,
+}
+
+/// Key of one memo entry.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum MemoKey {
+    Cell(ProgramKey, ExperimentConfig),
+    Trace(TraceKey),
+}
+
+/// One memo entry.
+enum Memo {
+    Cell(Box<ExperimentResult>),
+    Trace(Arc<Trace>),
+}
+
+impl Memo {
+    /// Whether a grid in flight holds this entry: a trace shared out of
+    /// the memo. Eviction skips it.
+    fn pinned(&self) -> bool {
+        matches!(self, Memo::Trace(t) if Arc::strong_count(t) > 1)
+    }
+
+    /// Heap bytes the entry holds, the map slot included.
+    fn charge(&self) -> usize {
+        fn vec_bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let own = match self {
+            Memo::Trace(t) => t.heap_bytes(),
+            Memo::Cell(r) => {
+                let sim = &r.sim;
+                std::mem::size_of::<ExperimentResult>()
+                    + sim.scheme.capacity()
+                    + vec_bytes(&sim.busy_cycles)
+                    + vec_bytes(&sim.per_proc)
+                    + vec_bytes(&sim.profile)
+                    + vec_bytes(&sim.miss_by_array)
+                    + sim
+                        .miss_by_array
+                        .iter()
+                        .map(|(name, _)| name.capacity())
+                        .sum::<usize>()
+                    + vec_bytes(&sim.host.ops)
+                    + r.marking.distance_histogram.len() * std::mem::size_of::<(u32, usize)>()
+            }
+        };
+        own + std::mem::size_of::<(MemoKey, Memo)>()
+    }
 }
 
 /// Counters describing how much work the cache avoided.
@@ -147,8 +228,14 @@ pub struct RunnerStats {
     pub trace_hits: u64,
     /// Cells actually simulated.
     pub cells_simulated: u64,
-    /// Cells answered by copying an identical sibling cell's result.
+    /// Cells answered from the memo: a result an earlier grid computed,
+    /// or an identical earlier cell of the same grid.
     pub cells_deduped: u64,
+    /// Heap bytes the memo holds now (cell results and traces), at most
+    /// [`MAX_TRACE_BYTES`] unless grids in flight hold more traces.
+    pub memo_bytes: u64,
+    /// Memo entries evicted to stay within the budget.
+    pub memo_evictions: u64,
 }
 
 /// Hit/miss counters of one memo-store stage.
@@ -187,7 +274,8 @@ pub struct CacheStats {
     pub markings: StageCache,
     /// Trace interpretations.
     pub traces: StageCache,
-    /// Simulated cells (hits are within-grid deduplications).
+    /// Simulated cells (hits are memo answers, across grids and within
+    /// one).
     pub cells: StageCache,
 }
 
@@ -258,14 +346,19 @@ struct StatCells {
     trace_hits: AtomicU64,
     cells_simulated: AtomicU64,
     cells_deduped: AtomicU64,
+    memo_evictions: AtomicU64,
 }
 
 /// The experiment engine: a memoizing artifact cache plus a parallel,
 /// deterministic grid executor. See the [module docs](self).
+///
+/// Lock order: `store` before `memo`; both are held only for map
+/// operations.
 pub struct Runner {
     threads: usize,
     memoize: bool,
     store: Mutex<ArtifactStore>,
+    memo: Mutex<Lru<MemoKey, Memo>>,
     stats: StatCells,
     prof: crate::prof::Profiler,
 }
@@ -303,14 +396,24 @@ impl Runner {
             threads: threads.max(1),
             memoize: true,
             store: Mutex::new(ArtifactStore::default()),
+            memo: Mutex::new(Lru::new(MAX_TRACE_BYTES)),
             stats: StatCells::default(),
             prof: crate::prof::Profiler::new(),
         }
     }
 
-    /// Disables the artifact cache: every cell rebuilds, re-marks, and
-    /// re-interprets its own pipeline, and identical cells are not
-    /// deduplicated — the pre-engine behaviour. Results are bit-identical
+    /// A serial runner whose memo holds at most `budget` bytes.
+    #[cfg(test)]
+    pub(crate) fn with_memo_budget(budget: usize) -> Self {
+        Runner {
+            memo: Mutex::new(Lru::new(budget)),
+            ..Runner::serial()
+        }
+    }
+
+    /// Disables the artifact cache and the memo: every cell rebuilds,
+    /// re-marks, re-interprets and replays its own pipeline, and identical
+    /// cells are not deduplicated — the pre-engine behaviour. Results are bit-identical
     /// to the memoized path; this exists as a timing baseline
     /// (`repro --fresh`) and for the equivalence tests.
     #[must_use]
@@ -366,6 +469,7 @@ impl Runner {
         self.prof
             .add("prepare/interp/doall", trace.host.doall_nanos, 1);
         self.prof.incr("interp_epochs", trace.stats.epochs);
+        self.prof.incr("interp_events", trace.len() as u64);
         self.prof.incr("trace_bytes", trace.heap_bytes() as u64);
     }
 
@@ -381,6 +485,8 @@ impl Runner {
             trace_hits: self.stats.trace_hits.load(Ordering::Relaxed),
             cells_simulated: self.stats.cells_simulated.load(Ordering::Relaxed),
             cells_deduped: self.stats.cells_deduped.load(Ordering::Relaxed),
+            memo_bytes: self.memo().held() as u64,
+            memo_evictions: self.stats.memo_evictions.load(Ordering::Relaxed),
         }
     }
 
@@ -448,6 +554,29 @@ impl Runner {
     /// half-written entry behind.
     fn store(&self) -> std::sync::MutexGuard<'_, ArtifactStore> {
         crate::sync::lock_unpoisoned(&self.store)
+    }
+
+    /// Locks the memo, tolerating poisoning for the same reason.
+    fn memo(&self) -> std::sync::MutexGuard<'_, Lru<MemoKey, Memo>> {
+        crate::sync::lock_unpoisoned(&self.memo)
+    }
+
+    /// Stores `entry` in the memo under `key` (the caller holds the lock).
+    fn memo_insert(memo: &mut Lru<MemoKey, Memo>, key: MemoKey, entry: Memo) {
+        let charge = entry.charge();
+        memo.insert(key, entry, charge);
+    }
+
+    /// Evicts memo entries down to the budget, sparing pinned traces.
+    /// Traces go first: a cell result holds a few kilobytes and costs a
+    /// whole replay to recompute, a trace holds megabytes and costs one
+    /// interpretation. Results go only once no unpinned trace is left.
+    fn memo_evict(&self, memo: &mut Lru<MemoKey, Memo>) {
+        let evicted =
+            memo.evict(|m| m.pinned() || matches!(m, Memo::Cell(_))) + memo.evict(Memo::pinned);
+        self.stats
+            .memo_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Panic-safe variant of [`run_kernel`](Self::run_kernel): a panic
@@ -522,29 +651,14 @@ impl Runner {
             self.stats.traces_built.fetch_add(n, Ordering::Relaxed);
             return prepared.into_iter().collect();
         }
-        self.build_artifacts(cells)?;
-        let store = self.store();
-        Ok(cells
-            .iter()
-            .map(|cell| {
-                let pkey = cell.source.key();
-                let copts = cell.config.compiler_options();
-                let program = Arc::clone(&store.programs[&pkey]);
-                let marking = Arc::clone(&store.markings[&(pkey.clone(), copts)]);
-                let trace = Arc::clone(&store.traces[&(pkey, copts, cell.config.trace_options())]);
-                PreparedCell {
-                    spec: cell.clone(),
-                    program,
-                    marking,
-                    trace,
-                }
-            })
-            .collect())
+        let cells: Vec<&RunSpec> = cells.iter().collect();
+        self.build_artifacts(&cells)
     }
 
-    /// Phases 1–3 of [`execute`](Self::execute): fills the artifact store
-    /// with every program, marking, and trace `cells` needs.
-    fn build_artifacts(&self, cells: &[RunSpec]) -> Result<(), TraceError> {
+    /// Phases 1–3 of [`execute`](Self::execute): builds (or finds) every
+    /// program, marking, and trace `cells` needs and hands them back per
+    /// cell. The returned `Arc`s pin the traces in the memo.
+    fn build_artifacts(&self, cells: &[&RunSpec]) -> Result<Vec<PreparedCell>, TraceError> {
         let _prepare_scope = self.prof.scope("prepare");
         // Phase 1 — programs. Unique keys in first-appearance order keep
         // the whole pipeline deterministic.
@@ -618,44 +732,88 @@ impl Runner {
             }
         }
 
-        // Phase 3 — traces (scheme- and cache-geometry-independent).
+        // Phase 3 — traces (scheme- and cache-geometry-independent): from
+        // the memo, from an earlier cell of this grid, or interpreted.
+        enum TraceSlot {
+            Held(Arc<Trace>),
+            Job(usize),
+        }
+        let mut slots: Vec<TraceSlot> = Vec::with_capacity(cells.len());
         let mut trace_jobs: Vec<(TraceKey, Arc<Program>, Arc<Marking>)> = Vec::new();
+        let mut job_of: HashMap<TraceKey, usize> = HashMap::new();
         {
             let store = self.store();
+            let mut memo = self.memo();
             for cell in cells {
-                let key = (
-                    cell.source.key(),
-                    cell.config.compiler_options(),
-                    cell.config.trace_options(),
-                );
-                if store.traces.contains_key(&key) || trace_jobs.iter().any(|(k, ..)| *k == key) {
+                let key = cell.trace_key();
+                if let Some(Memo::Trace(t)) = memo.get(&MemoKey::Trace(key.clone())) {
                     self.stats.trace_hits.fetch_add(1, Ordering::Relaxed);
+                    slots.push(TraceSlot::Held(Arc::clone(t)));
                     continue;
                 }
-                let program = Arc::clone(&store.programs[&key.0]);
-                let marking = Arc::clone(&store.markings[&(key.0.clone(), key.1)]);
-                trace_jobs.push((key, program, marking));
+                let next = trace_jobs.len();
+                let job = *job_of.entry(key.clone()).or_insert(next);
+                if job == next {
+                    let program = Arc::clone(&store.programs[&key.0]);
+                    let marking = Arc::clone(&store.markings[&(key.0.clone(), key.1)]);
+                    trace_jobs.push((key, program, marking));
+                } else {
+                    self.stats.trace_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                slots.push(TraceSlot::Job(job));
             }
         }
         self.stats
             .traces_built
             .fetch_add(trace_jobs.len() as u64, Ordering::Relaxed);
+        // Each trace enters the memo as soon as it is built, so older
+        // unpinned traces make room while the rest of the grid is still
+        // interpreting.
         let traced = {
             let _s = self.prof.scope("interp");
             parallel_map(self.threads, &trace_jobs, |(key, program, marking)| {
-                generate_trace(program.as_ref(), marking.as_ref(), &key.2).map(Arc::new)
+                let trace = generate_trace(program.as_ref(), marking.as_ref(), &key.2)?;
+                let trace = Arc::new(trace);
+                let mut memo = self.memo();
+                let entry = Memo::Trace(Arc::clone(&trace));
+                Runner::memo_insert(&mut memo, MemoKey::Trace(key.clone()), entry);
+                self.memo_evict(&mut memo);
+                Ok(trace)
             })
         };
         for trace in traced.iter().filter_map(|t| t.as_ref().ok()) {
             self.harvest_trace(trace);
         }
         {
-            let mut store = self.store();
-            for ((key, ..), trace) in trace_jobs.into_iter().zip(traced) {
-                store.traces.insert(key, trace?);
+            // Workers finish in any order; touching the new traces in job
+            // order makes their recency, and so later evictions,
+            // deterministic.
+            let mut memo = self.memo();
+            for (key, ..) in &trace_jobs {
+                memo.get(&MemoKey::Trace(key.clone()));
             }
         }
-        Ok(())
+        // First error in job order.
+        let traced: Vec<Arc<Trace>> = traced.into_iter().collect::<Result<_, _>>()?;
+
+        let store = self.store();
+        Ok(cells
+            .iter()
+            .zip(slots)
+            .map(|(cell, slot)| {
+                let pkey = cell.source.key();
+                let copts = cell.config.compiler_options();
+                PreparedCell {
+                    spec: (*cell).clone(),
+                    program: Arc::clone(&store.programs[&pkey]),
+                    marking: Arc::clone(&store.markings[&(pkey, copts)]),
+                    trace: match slot {
+                        TraceSlot::Held(trace) => trace,
+                        TraceSlot::Job(i) => Arc::clone(&traced[i]),
+                    },
+                }
+            })
+            .collect())
     }
 
     /// Executes `cells`, returning results in submission order.
@@ -663,46 +821,71 @@ impl Runner {
         if !self.memoize {
             return self.execute_fresh(cells);
         }
-        self.build_artifacts(cells)?;
-
-        // Phase 4 — simulate. Identical cells are computed once and
-        // copied; distinct cells fan out across the worker threads.
-        let mut unique: Vec<(&RunSpec, Arc<Trace>, Arc<Marking>)> = Vec::new();
-        let mut cell_to_unique: Vec<usize> = Vec::with_capacity(cells.len());
+        // Phase 0 — the cell memo. A cell that an earlier grid ran, or
+        // that repeats an earlier cell of this grid, is answered without
+        // building or replaying anything; the rest become jobs.
+        enum Answer {
+            Memo(Box<ExperimentResult>),
+            Job(usize),
+        }
+        let mut answers: Vec<Answer> = Vec::with_capacity(cells.len());
+        let mut jobs: Vec<&RunSpec> = Vec::new();
+        let mut job_of: HashMap<MemoKey, usize> = HashMap::new();
         {
-            let store = self.store();
+            let mut memo = self.memo();
             for cell in cells {
-                let same = unique.iter().position(|(u, ..)| {
-                    u.config == cell.config && u.source.key() == cell.source.key()
-                });
-                if let Some(i) = same {
+                let key = cell.cell_key();
+                if let Some(Memo::Cell(r)) = memo.get(&key) {
                     self.stats.cells_deduped.fetch_add(1, Ordering::Relaxed);
-                    cell_to_unique.push(i);
+                    answers.push(Answer::Memo(r.clone()));
                     continue;
                 }
-                let pkey = cell.source.key();
-                let copts = cell.config.compiler_options();
-                let marking = Arc::clone(&store.markings[&(pkey.clone(), copts)]);
-                let trace = Arc::clone(&store.traces[&(pkey, copts, cell.config.trace_options())]);
-                cell_to_unique.push(unique.len());
-                unique.push((cell, trace, marking));
+                let next = jobs.len();
+                let job = *job_of.entry(key).or_insert(next);
+                if job == next {
+                    jobs.push(cell);
+                } else {
+                    self.stats.cells_deduped.fetch_add(1, Ordering::Relaxed);
+                }
+                answers.push(Answer::Job(job));
             }
         }
-        self.stats
-            .cells_simulated
-            .fetch_add(unique.len() as u64, Ordering::Relaxed);
-        let simulated = {
-            let _s = self.prof.scope("simulate");
-            parallel_map(self.threads, &unique, |(cell, trace, marking)| {
-                simulate_cell(&cell.config, trace.as_ref(), marking.as_ref())
-            })
+        let simulated = if jobs.is_empty() {
+            Vec::new()
+        } else {
+            let prepared = self.build_artifacts(&jobs)?;
+            self.stats
+                .cells_simulated
+                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            // Phase 4 — simulate the distinct new cells across the workers.
+            let simulated = {
+                let _s = self.prof.scope("simulate");
+                parallel_map(self.threads, &prepared, |cell| {
+                    simulate_cell(
+                        &cell.spec.config,
+                        cell.trace.as_ref(),
+                        cell.marking.as_ref(),
+                    )
+                })
+            };
+            // Unpin this grid's traces before the eviction pass.
+            drop(prepared);
+            for r in &simulated {
+                self.harvest_sim(&r.sim);
+            }
+            let mut memo = self.memo();
+            for (cell, r) in jobs.iter().zip(&simulated) {
+                Runner::memo_insert(&mut memo, cell.cell_key(), Memo::Cell(Box::new(r.clone())));
+            }
+            self.memo_evict(&mut memo);
+            simulated
         };
-        for r in &simulated {
-            self.harvest_sim(&r.sim);
-        }
-        Ok(cell_to_unique
+        Ok(answers
             .into_iter()
-            .map(|i| simulated[i].clone())
+            .map(|answer| match answer {
+                Answer::Memo(r) => *r,
+                Answer::Job(i) => simulated[i].clone(),
+            })
             .collect())
     }
 
@@ -1123,7 +1306,9 @@ mod tests {
         let stats = runner.stats();
         assert_eq!(stats.programs_built, 1);
         assert_eq!(stats.traces_built, 1);
-        assert_eq!(stats.trace_hits, 1);
+        // The second run is a cell-memo hit: it touches no artifact.
+        assert_eq!(stats.trace_hits, 0);
+        assert_eq!((stats.cells_simulated, stats.cells_deduped), (1, 1));
     }
 
     #[test]
@@ -1211,13 +1396,15 @@ mod tests {
         runner.run_kernel(Kernel::Flo52, Scale::Test, &cfg).unwrap();
         let cache = runner.cache_stats();
         assert_eq!(cache, runner.stats().cache());
-        assert_eq!(cache.programs, StageCache { hits: 1, misses: 1 });
-        assert_eq!(cache.traces, StageCache { hits: 1, misses: 1 });
-        assert!((cache.programs.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(cache.programs, StageCache { hits: 0, misses: 1 });
+        assert_eq!(cache.traces, StageCache { hits: 0, misses: 1 });
+        assert_eq!(cache.cells, StageCache { hits: 1, misses: 1 });
+        assert!((cache.cells.hit_rate() - 0.5).abs() < 1e-12);
         let total = cache.total();
-        assert_eq!(total.hits + total.misses, 8);
+        assert_eq!(total.hits + total.misses, 5);
         // Display stays a one-line summary.
-        assert!(cache.to_string().contains("programs 1/2 hits (50%)"));
+        assert!(cache.to_string().contains("programs 0/1 hits (0%)"));
+        assert!(cache.to_string().contains("cells 1/2 hits (50%)"));
         assert_eq!(StageCache::default().hit_rate(), 0.0);
     }
 
@@ -1277,21 +1464,31 @@ mod tests {
         }
         assert!(prof.counter("sim_events") > 0);
         assert_eq!(prof.counter("sim_epochs"), prof.counter("interp_epochs"));
-        // A memoized re-run opens the phase scopes again but interprets
+        // A scheme-only change reopens the phase scopes but interprets
         // nothing new, so the harvested per-trace sub-stages stay put.
         let calls_before = prof.stage("prepare/interp").unwrap().calls;
-        runner.run_kernel(Kernel::Flo52, Scale::Test, &cfg).unwrap();
+        let sc = ExperimentConfig {
+            scheme: SchemeId::SC,
+            ..cfg
+        };
+        runner.run_kernel(Kernel::Flo52, Scale::Test, &sc).unwrap();
         let prof2 = runner.profile();
         assert_eq!(
             prof2.stage("prepare/interp").unwrap().calls,
             calls_before + 1,
-            "the phase scope reopens on every grid"
+            "the phase scope reopens on every grid with a new cell"
         );
         assert_eq!(
             prof2.stage("prepare/interp/doall").unwrap().calls,
             prof.stage("prepare/interp/doall").unwrap().calls,
             "cache hit must not re-harvest interpreter time"
         );
+        // A cell-memo hit builds and replays nothing: no stage reopens
+        // and no event is counted again.
+        runner.run_kernel(Kernel::Flo52, Scale::Test, &sc).unwrap();
+        let prof3 = runner.profile();
+        assert_eq!(prof3.stages, prof2.stages);
+        assert_eq!(prof3.counter("sim_events"), prof2.counter("sim_events"));
     }
 
     #[test]
@@ -1325,9 +1522,106 @@ mod tests {
         let bytes: usize = distinct.iter().map(|t| t.heap_bytes()).sum();
         assert!(bytes > 0);
         assert_eq!(runner.profile().counter("trace_bytes"), bytes as u64);
-        // A memoized re-run builds nothing, so the counter stays put.
+        let events: usize = distinct.iter().map(|t| t.len()).sum();
+        assert!(events > 0);
+        assert_eq!(runner.profile().counter("interp_events"), events as u64);
+        // A memoized re-run builds nothing, so the counters stay put.
         runner.prepare(&cells).unwrap();
         assert_eq!(runner.profile().counter("trace_bytes"), bytes as u64);
+        assert_eq!(runner.profile().counter("interp_events"), events as u64);
+    }
+
+    fn seeded(seed: u64, scheme: SchemeId) -> ExperimentConfig {
+        ExperimentConfig::builder()
+            .seed(seed)
+            .scheme(scheme)
+            .policy(tpi_trace::SchedulePolicy::Dynamic { chunk: 1 })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn memo_stays_under_its_budget_across_seeds() {
+        // Each seed is a new trace. A budget of about three traces must
+        // hold however many seeds arrive.
+        let one = Runner::serial();
+        one.run_kernel(Kernel::Ocean, Scale::Test, &seeded(0, SchemeId::TPI))
+            .unwrap();
+        let per_seed = one.stats().memo_bytes as usize;
+        let budget = 3 * per_seed + per_seed / 2;
+        let runner = Runner::with_memo_budget(budget);
+        for seed in 0..12 {
+            runner
+                .run_kernel(Kernel::Ocean, Scale::Test, &seeded(seed, SchemeId::TPI))
+                .unwrap();
+            let held = runner.stats().memo_bytes as usize;
+            assert!(held <= budget, "seed {seed}: {held} > {budget} bytes");
+        }
+        let stats = runner.stats();
+        assert_eq!(stats.traces_built, 12);
+        assert!(
+            stats.memo_evictions > 0 && stats.memo_bytes > 0,
+            "{stats:?}"
+        );
+        // Traces go before cell results: the newest seed's trace is
+        // still held, the oldest one was evicted, and both seeds' cells
+        // are still answered from the memo.
+        runner
+            .run_kernel(Kernel::Ocean, Scale::Test, &seeded(11, SchemeId::SC))
+            .unwrap();
+        assert_eq!(runner.stats().traces_built, 12);
+        runner
+            .run_kernel(Kernel::Ocean, Scale::Test, &seeded(0, SchemeId::SC))
+            .unwrap();
+        assert_eq!(runner.stats().traces_built, 13);
+        for seed in [0, 11] {
+            runner
+                .run_kernel(Kernel::Ocean, Scale::Test, &seeded(seed, SchemeId::TPI))
+                .unwrap();
+        }
+        let stats = runner.stats();
+        assert_eq!((stats.cells_simulated, stats.cells_deduped), (14, 2));
+    }
+
+    #[test]
+    fn an_evicted_trace_rebuilds_bit_identically() {
+        let runner = Runner::with_memo_budget(1);
+        let first = runner
+            .run_kernel(Kernel::Trfd, Scale::Test, &seeded(7, SchemeId::TPI))
+            .unwrap();
+        // A budget of one byte holds nothing once the grid is done.
+        assert_eq!(runner.stats().memo_bytes, 0);
+        let again = runner
+            .run_kernel(Kernel::Trfd, Scale::Test, &seeded(7, SchemeId::TPI))
+            .unwrap();
+        let sc = runner
+            .run_kernel(Kernel::Trfd, Scale::Test, &seeded(7, SchemeId::SC))
+            .unwrap();
+        let stats = runner.stats();
+        assert_eq!((stats.traces_built, stats.cells_simulated), (3, 3));
+        let fresh_sc =
+            crate::run_kernel(Kernel::Trfd, Scale::Test, &seeded(7, SchemeId::SC)).unwrap();
+        for (got, want) in [(&again, &first), (&sc, &fresh_sc)] {
+            assert_eq!(got.sim.total_cycles, want.sim.total_cycles);
+            assert_eq!(got.sim.agg, want.sim.agg);
+            assert_eq!(got.sim.per_proc, want.sim.per_proc);
+            assert_eq!(got.sim.traffic, want.sim.traffic);
+            assert_eq!(got.sim.profile, want.sim.profile);
+            assert_eq!(got.trace, want.trace);
+        }
+    }
+
+    #[test]
+    fn cells_are_memoized_across_grids() {
+        let runner = Runner::serial();
+        let cfg = ExperimentConfig::paper();
+        let first = runner.run_kernel(Kernel::Mdg, Scale::Test, &cfg).unwrap();
+        let events = runner.profile().counter("sim_events");
+        let second = runner.run_kernel(Kernel::Mdg, Scale::Test, &cfg).unwrap();
+        assert_eq!(second.sim.total_cycles, first.sim.total_cycles);
+        let stats = runner.stats();
+        assert_eq!((stats.cells_simulated, stats.cells_deduped), (1, 1));
+        assert_eq!(runner.profile().counter("sim_events"), events);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl std::fmt::Display for FetchGranularity {
 }
 
 /// Parameters of the optional on-chip L1 (two-level TPI, Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct L1Config {
     /// L1 capacity in bytes (small on-chip cache, e.g. 8 KB).
     pub size_bytes: usize,

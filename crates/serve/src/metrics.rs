@@ -364,7 +364,7 @@ impl Metrics {
             uptime.as_secs()
         );
 
-        let runner_counters: [(&str, &str, u64); 8] = [
+        let runner_counters: [(&str, &str, u64); 9] = [
             (
                 "tpi_runner_programs_built_total",
                 "Programs built by the Runner (artifact-cache misses).",
@@ -402,8 +402,13 @@ impl Metrics {
             ),
             (
                 "tpi_runner_cells_deduped_total",
-                "Cells answered by copying an identical sibling cell.",
+                "Cells answered from the Runner's memo instead of simulated.",
                 runner.cells_deduped,
+            ),
+            (
+                "tpi_runner_memo_evictions_total",
+                "Runner memo entries (cell results, traces) evicted to stay within its byte budget.",
+                runner.memo_evictions,
             ),
         ];
         for (name, help, value) in runner_counters {
@@ -412,6 +417,13 @@ impl Metrics {
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
             );
         }
+        let _ = writeln!(
+            out,
+            "# HELP tpi_runner_memo_bytes Heap bytes the Runner's memo holds (cell results and traces).\n\
+             # TYPE tpi_runner_memo_bytes gauge\n\
+             tpi_runner_memo_bytes {}",
+            runner.memo_bytes
+        );
 
         let cache = runner.cache();
         out.push_str(

@@ -37,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use tpi::{catch_cell_panic, lock_unpoisoned, Runner};
+use tpi::{catch_cell_panic, lock_unpoisoned, Lru, Runner};
 
 /// Why a cell failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,56 +158,6 @@ pub struct CellJob {
 /// Default bound on the in-memory completed-result LRU.
 pub const DEFAULT_MEMORY_CELLS: usize = 1024;
 
-/// The bounded in-memory layer: completed results with last-use ticks.
-/// Eviction is an O(n) scan for the least-recent tick — n is the memory
-/// bound (a thousand or so), the map is behind a leaf lock, and
-/// evictions only happen on inserts past the bound.
-struct MemoryLru {
-    map: HashMap<CellKey, (Arc<CellOutcome>, u64)>,
-    tick: u64,
-    cap: usize,
-}
-
-impl MemoryLru {
-    fn new(cap: usize) -> MemoryLru {
-        MemoryLru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn get(&mut self, key: &CellKey) -> Option<Arc<CellOutcome>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(outcome, used)| {
-            *used = tick;
-            Arc::clone(outcome)
-        })
-    }
-
-    /// Inserts and evicts down to the bound; returns how many entries
-    /// were evicted.
-    fn insert(&mut self, key: CellKey, outcome: Arc<CellOutcome>) -> u64 {
-        self.tick += 1;
-        self.map.insert(key, (outcome, self.tick));
-        let mut evicted = 0;
-        while self.map.len() > self.cap {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// Completed results plus the in-flight table. Lock order is always
 /// `inflight` before `done`; both are leaf locks held only for map
 /// operations (and, on the miss path, one disk-cache probe).
@@ -219,7 +169,8 @@ impl MemoryLru {
 /// byte-identically — without recomputing.
 pub struct CellStore {
     inflight: Mutex<HashMap<CellKey, Arc<FlightSlot>>>,
-    done: Mutex<MemoryLru>,
+    /// The bounded in-memory layer: completed results, charged 1 each.
+    done: Mutex<Lru<CellKey, Arc<CellOutcome>>>,
     disk: Option<Arc<DiskCache>>,
     metrics: Option<Arc<Metrics>>,
 }
@@ -241,7 +192,7 @@ impl CellStore {
     ) -> CellStore {
         CellStore {
             inflight: Mutex::new(HashMap::new()),
-            done: Mutex::new(MemoryLru::new(memory_cells)),
+            done: Mutex::new(Lru::new(memory_cells.max(1))),
             disk,
             metrics,
         }
@@ -257,12 +208,16 @@ impl CellStore {
         lock_unpoisoned(&self.inflight)
     }
 
-    fn done(&self) -> MutexGuard<'_, MemoryLru> {
+    fn done(&self) -> MutexGuard<'_, Lru<CellKey, Arc<CellOutcome>>> {
         lock_unpoisoned(&self.done)
     }
 
     fn memory_insert(&self, key: CellKey, outcome: Arc<CellOutcome>) {
-        let evicted = self.done().insert(key, outcome);
+        let evicted = {
+            let mut done = self.done();
+            done.insert(key, outcome, 1);
+            done.evict(|_| false)
+        };
         if evicted > 0 {
             if let Some(metrics) = &self.metrics {
                 metrics
@@ -280,7 +235,7 @@ impl CellStore {
     pub fn plan(&self, key: CellKey) -> CellPlan {
         let mut inflight = self.inflight();
         if let Some(outcome) = self.done().get(&key) {
-            return CellPlan::Cached(outcome);
+            return CellPlan::Cached(Arc::clone(outcome));
         }
         if let Some(slot) = inflight.get(&key) {
             return CellPlan::Joined(Arc::clone(slot));
@@ -324,7 +279,7 @@ impl CellStore {
     /// Number of completed cells held by the in-memory result cache.
     #[must_use]
     pub fn results_cached(&self) -> usize {
-        self.done().map.len()
+        self.done().len()
     }
 
     /// Number of cells currently in flight. Zero once every request has
@@ -341,9 +296,8 @@ impl CellStore {
     #[must_use]
     pub fn snapshot(&self) -> Vec<(CellKey, Arc<CellOutcome>)> {
         self.done()
-            .map
             .iter()
-            .map(|(k, (v, _))| (*k, Arc::clone(v)))
+            .map(|(k, v)| (*k, Arc::clone(v)))
             .collect()
     }
 }

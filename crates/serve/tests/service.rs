@@ -113,6 +113,12 @@ fn concurrent_overlapping_requests_match_a_serial_runner() {
     let trace_bytes = metric_value(&text, "tpi_prof_events_total{event=\"trace_bytes\"}")
         .expect("trace_bytes counter exported");
     assert!(trace_bytes > 0.0, "held trace bytes must be counted");
+    let memo_bytes = metric_value(&text, "tpi_runner_memo_bytes").expect("memo gauge exported");
+    assert!(memo_bytes > 0.0, "the Runner memo holds this test's cells");
+    assert!(text.contains("# TYPE tpi_runner_memo_bytes gauge"));
+    let evictions = metric_value(&text, "tpi_runner_memo_evictions_total")
+        .expect("memo evictions counter exported");
+    assert_eq!(evictions, 0.0, "a few test-scale cells fit the budget");
 
     let stats = server.shutdown();
     assert_eq!(stats.cells_computed as usize, unique_cells.len());

@@ -251,6 +251,19 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Logical events across every epoch (a folded `Compute` counts as
+    /// one, as in [`EpochEvents::len`]).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.epochs.iter().map(EpochEvents::len).sum()
+    }
+
+    /// Whether no epoch holds an event.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.epochs.iter().all(EpochEvents::is_empty)
+    }
+
     /// Heap bytes held by the event streams (epoch headers included; the
     /// memory layout is not).
     #[must_use]

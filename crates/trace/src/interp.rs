@@ -54,6 +54,17 @@ impl Default for TraceOptions {
     }
 }
 
+/// The most bytes one trace may hold: interpretation stops with
+/// [`TraceError::TooLarge`] once a trace's packed streams (or a DOALL's
+/// iteration list) would pass it. The `tpi::Runner` memoizes traces and
+/// cell results under the same bound, so any trace the interpreter
+/// accepts fits in its memo. 160 MiB is above the 126 MiB of traces that
+/// the largest grid of the paper sweep holds at once.
+pub const MAX_TRACE_BYTES: usize = 160 << 20;
+
+/// Bytes of one packed event record.
+const RECORD_BYTES: usize = std::mem::size_of::<Record>();
+
 /// Trace generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -86,6 +97,15 @@ pub enum TraceError {
         /// The largest value the slot holds.
         max: u64,
     },
+    /// Interpreting the program needs more than [`MAX_TRACE_BYTES`]:
+    /// its trace, or the iteration list of one DOALL, would pass the
+    /// bound. Raised before the memory is allocated.
+    TooLarge {
+        /// Bytes needed when interpretation stopped (a lower bound).
+        bytes: u64,
+        /// The bound, [`MAX_TRACE_BYTES`].
+        max: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -110,6 +130,10 @@ impl fmt::Display for TraceError {
                 f,
                 "{field} {value} does not fit the packed trace record (max {max})"
             ),
+            TraceError::TooLarge { bytes, max } => write!(
+                f,
+                "trace needs at least {bytes} bytes, more than the {max}-byte bound"
+            ),
         }
     }
 }
@@ -122,8 +146,9 @@ impl Error for TraceError {}
 ///
 /// Returns [`TraceError::Race`] if race checking is enabled and two DOALL
 /// iterations of one epoch conflict on a word, [`TraceError::OutOfBounds`]
-/// if a subscript leaves its array, and [`TraceError::DoesNotFit`] if an
-/// event exceeds the packed record.
+/// if a subscript leaves its array, [`TraceError::DoesNotFit`] if an
+/// event exceeds the packed record, and [`TraceError::TooLarge`] if the
+/// trace would pass [`MAX_TRACE_BYTES`].
 pub fn generate_trace(
     program: &Program,
     marking: &Marking,
@@ -142,6 +167,7 @@ pub fn generate_trace(
         posts: FastMap::default(),
         bufs: vec![Vec::new(); opts.num_procs as usize],
         epochs: Vec::new(),
+        packed_bytes: 0,
         error: None,
         host: InterpHostProfile::default(),
     };
@@ -212,6 +238,9 @@ struct Interp<'a> {
     /// [`EpochEvents`] at the end and reused by the next.
     bufs: Vec<Vec<Record>>,
     epochs: Vec<EpochEvents>,
+    /// Bytes held by `epochs` (headers included), checked against
+    /// [`MAX_TRACE_BYTES`] together with the buffered records.
+    packed_bytes: usize,
     error: Option<TraceError>,
     host: InterpHostProfile,
 }
@@ -263,9 +292,24 @@ impl<'a> Interp<'a> {
     /// Packs the current epoch's record buffers into the trace.
     fn finish_epoch(&mut self, epoch: Epoch, kind: EpochExecKind) {
         match EpochEvents::pack(epoch, kind, &mut self.bufs) {
-            Ok(ee) => self.epochs.push(ee),
+            Ok(ee) => {
+                self.packed_bytes += ee.heap_bytes() + std::mem::size_of::<EpochEvents>();
+                self.epochs.push(ee);
+                if self.packed_bytes > MAX_TRACE_BYTES {
+                    self.error = Some(too_large(self.packed_bytes));
+                }
+            }
             Err(e) => self.error = Some(e),
         }
+    }
+
+    /// The most records processor `p`'s buffer may hold before the trace
+    /// passes [`MAX_TRACE_BYTES`], given `buffered` records in the other
+    /// buffers of this epoch, and the bytes held outside that buffer.
+    fn sink_cap(&self, p: usize, buffered: usize) -> (usize, usize) {
+        let outside = self.packed_bytes + buffered * RECORD_BYTES;
+        let room = MAX_TRACE_BYTES.saturating_sub(outside) / RECORD_BYTES;
+        (self.bufs[p].len() + room, outside)
     }
 
     fn exec_serial_epoch(&mut self, stmts: &[&'a Stmt], env: &mut Env) {
@@ -278,6 +322,7 @@ impl<'a> Interp<'a> {
             0
         };
         {
+            let (sink_cap, outside_bytes) = self.sink_cap(serial_proc as usize, 0);
             let mut task = TaskCtx {
                 interp_versions: &mut self.versions,
                 layout: self.layout,
@@ -287,6 +332,8 @@ impl<'a> Interp<'a> {
                 proc: ProcId(serial_proc),
                 epoch,
                 sink: &mut self.bufs[serial_proc as usize],
+                sink_cap,
+                outside_bytes,
                 races: None,
                 task_id: 0,
                 race_found: None,
@@ -315,12 +362,23 @@ impl<'a> Interp<'a> {
         let epoch = Epoch(self.epochs.len() as u64);
         let lo = l.lo.eval(env);
         let hi = l.hi.eval(env);
-        let mut values = Vec::new();
-        let mut v = lo;
-        while v <= hi {
-            values.push(v);
-            v += l.step;
+        // The iteration list is allocated whole, so its size is checked
+        // first: a hostile bound must not reach the allocator.
+        let trips = if hi < lo {
+            0
+        } else {
+            (i128::from(hi) - i128::from(lo)) / i128::from(l.step) + 1
+        };
+        let list_bytes = trips.saturating_mul(std::mem::size_of::<i64>() as i128);
+        if list_bytes > MAX_TRACE_BYTES as i128 {
+            self.error = Some(too_large(usize::try_from(list_bytes).unwrap_or(usize::MAX)));
+            return;
         }
+        // Every value lies in `lo..=hi`, so the wrapping arithmetic is
+        // exact even where `k * step` alone would overflow.
+        let values: Vec<i64> = (0..trips as i64)
+            .map(|k| lo.wrapping_add(k.wrapping_mul(l.step)))
+            .collect();
         let assignment = assign(
             &values,
             self.opts.num_procs,
@@ -337,6 +395,8 @@ impl<'a> Interp<'a> {
         // functionally consistent.
         let procs = self.opts.num_procs as usize;
         let mut fronts = vec![0usize; procs];
+        // Records buffered by this epoch's tasks so far.
+        let mut buffered = 0;
         loop {
             let mut next: Option<usize> = None;
             for p in 0..procs {
@@ -353,6 +413,8 @@ impl<'a> Interp<'a> {
             let iter = assignment.iterations(ProcId(p as u32))[fronts[p]];
             fronts[p] += 1;
             env.bind(l.var, iter);
+            let before = self.bufs[p].len();
+            let (sink_cap, outside_bytes) = self.sink_cap(p, buffered - before);
             let mut task = TaskCtx {
                 interp_versions: &mut self.versions,
                 layout: self.layout,
@@ -362,6 +424,8 @@ impl<'a> Interp<'a> {
                 proc: ProcId(p as u32),
                 epoch,
                 sink: &mut self.bufs[p],
+                sink_cap,
+                outside_bytes,
                 races: self.opts.check_races.then_some(&mut self.races),
                 task_id: iter,
                 race_found: None,
@@ -381,6 +445,7 @@ impl<'a> Interp<'a> {
                 env.unbind(l.var);
                 return;
             }
+            buffered += self.bufs[p].len() - before;
         }
         env.unbind(l.var);
         self.finish_epoch(
@@ -396,6 +461,13 @@ impl<'a> Interp<'a> {
     }
 }
 
+fn too_large(bytes: usize) -> TraceError {
+    TraceError::TooLarge {
+        bytes: bytes as u64,
+        max: MAX_TRACE_BYTES as u64,
+    }
+}
+
 /// Execution context of one task (a serial epoch or one DOALL iteration).
 struct TaskCtx<'a, 'b> {
     interp_versions: &'b mut FastMap<u64, u64>,
@@ -406,6 +478,11 @@ struct TaskCtx<'a, 'b> {
     proc: ProcId,
     epoch: Epoch,
     sink: &'b mut Vec<Record>,
+    /// Records `sink` may hold before the trace passes
+    /// [`MAX_TRACE_BYTES`].
+    sink_cap: usize,
+    /// Bytes the trace holds outside `sink`.
+    outside_bytes: usize,
     races: Option<&'b mut FastMap<u64, WordAccess>>,
     task_id: i64,
     race_found: Option<WordAddr>,
@@ -424,6 +501,9 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
     fn emit(&mut self, ev: &Event) {
         if let Err(e) = record::push(self.sink, ev) {
             self.fault.get_or_insert(e);
+        } else if self.sink.len() > self.sink_cap {
+            let bytes = self.outside_bytes + self.sink.len() * RECORD_BYTES;
+            self.fault.get_or_insert(too_large(bytes));
         }
     }
 

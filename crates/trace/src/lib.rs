@@ -43,7 +43,7 @@ pub mod sched;
 pub mod truth;
 
 pub use event::{EpochEvents, EpochExecKind, Event, InterpHostProfile, Trace, TraceStats};
-pub use interp::{generate_trace, TraceError, TraceOptions};
+pub use interp::{generate_trace, TraceError, TraceOptions, MAX_TRACE_BYTES};
 pub use record::{Events, Record};
 pub use sched::{assign, Assignment, SchedulePolicy};
 pub use truth::{GroundTruth, Writer};

@@ -226,6 +226,46 @@ fn custom_programs_memoize_and_match_run_program() {
     );
 }
 
+#[test]
+fn a_grid_of_memoized_cells_simulates_nothing() {
+    // The second grid shares every cell with the first (in another
+    // order and another grid shape): the cell memo answers all of them,
+    // and every answer is the fresh run's result.
+    let runner = Runner::new();
+    let schemes = [SchemeId::TPI, SchemeId::SC, SchemeId::FULL_MAP];
+    runner
+        .grid()
+        .kernels([Kernel::Trfd, Kernel::Qcd2])
+        .scale(Scale::Test)
+        .schemes(schemes)
+        .run()
+        .unwrap();
+    let first = runner.stats();
+    assert_eq!(first.cells_simulated, 6);
+    let again = runner
+        .grid()
+        .kernel(Kernel::Qcd2)
+        .scale(Scale::Test)
+        .schemes([SchemeId::SC, SchemeId::TPI])
+        .run()
+        .unwrap();
+    let second = runner.stats();
+    assert_eq!(second.cells_simulated, first.cells_simulated, "no new cell");
+    assert_eq!(second.cells_deduped, first.cells_deduped + 2);
+    assert_eq!(
+        (second.traces_built, second.trace_hits),
+        (first.traces_built, first.trace_hits),
+        "a memoized cell touches no artifact"
+    );
+    for scheme in [SchemeId::SC, SchemeId::TPI] {
+        let fresh = run_kernel(Kernel::Qcd2, Scale::Test, &cfg(scheme)).unwrap();
+        let memo = again.get(Kernel::Qcd2, scheme);
+        assert_sim_identical(&memo.sim, &fresh.sim, &format!("QCD2/{scheme}"));
+        assert_eq!(memo.marking, fresh.marking);
+        assert_eq!(memo.trace, fresh.trace);
+    }
+}
+
 /// Field-by-field [`tpi_sim::SimResult`] identity, excluding only the
 /// host-side wall-clock self-measurement (which is never deterministic).
 fn assert_sim_identical(a: &tpi_sim::SimResult, b: &tpi_sim::SimResult, ctx: &str) {

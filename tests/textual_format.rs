@@ -154,3 +154,39 @@ fn transpose_doall_from_minus_one_is_an_out_of_bounds_error() {
     );
     expect_out_of_bounds(&program, "A", -1);
 }
+
+#[test]
+fn histogram_doall_to_u32_max_is_too_large_before_allocating() {
+    // 2^32 iterations would need a 32 GiB iteration list before the
+    // first one runs; the trip count is checked first.
+    let program = mutated_sample(
+        "examples/programs/histogram.tpi",
+        "  doall i = 0, 2047\n    DATA(i) = f[2]()",
+        "  doall i = 0, 4294967295\n    DATA(i) = f[2]()",
+    );
+    let err = run_program(&program, &cfg(SchemeId::TPI)).expect_err("must not run");
+    let want = tpi_trace::TraceError::TooLarge {
+        bytes: 4_294_967_296 * 8,
+        max: tpi_trace::MAX_TRACE_BYTES as u64,
+    };
+    assert_eq!(err, want, "{err}");
+    assert!(err.to_string().contains("bound"), "{err}");
+}
+
+#[test]
+fn a_serial_loop_to_u32_max_stops_at_the_trace_bound() {
+    // One record per step: the trace passes the bound after about 14M
+    // of the 2^32 steps and stops there, inside one serial epoch.
+    let program = parse_program(
+        "shared A(4)\nproc main\n  do t = 0, 4294967295\n    compute[1]\n  end\nend\n",
+    )
+    .expect("parses");
+    let err = run_program(&program, &cfg(SchemeId::TPI)).expect_err("must not run");
+    match err {
+        tpi_trace::TraceError::TooLarge { bytes, max } => {
+            assert_eq!(max, tpi_trace::MAX_TRACE_BYTES as u64);
+            assert!(bytes > max, "{err}");
+        }
+        other => panic!("expected a too-large error, got {other}"),
+    }
+}
